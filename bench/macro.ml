@@ -180,37 +180,6 @@ let speedup_entry ~base r =
     barrier_frac r.peak_rss_kb
     (String.equal r.digest base.digest)
 
-(* Perf floor on the 2-domain point: with real cores available, sharding
-   must not be slower than 0.95x serial, or the parallel backend has
-   regressed into pure overhead. Skipped on a 1-core host (domains
-   time-slice; the number would only measure barrier overhead) and when
-   SPEEDLIGHT_SPEEDUP_GATE=0 (local runs on loaded machines). *)
-let speedup_floor = 0.95
-
-let check_speedup_gate ~base sweep =
-  let cores = Domain.recommended_domain_count () in
-  let gate_on = Sys.getenv_opt "SPEEDLIGHT_SPEEDUP_GATE" <> Some "0" in
-  if cores < 2 then
-    Printf.printf
-      "  speedup gate: skipped (1 usable core; domains would time-slice)\n"
-  else if not gate_on then
-    Printf.printf "  speedup gate: disabled (SPEEDLIGHT_SPEEDUP_GATE=0)\n"
-  else
-    match List.find_opt (fun r -> r.domains = 2) sweep with
-    | None -> ()
-    | Some r ->
-        let speedup = base.wall_s /. r.wall_s in
-        if speedup < speedup_floor then begin
-          Printf.eprintf
-            "macro: 2-domain speedup %.3fx below the %.2fx floor on a \
-             %d-core host\n"
-            speedup speedup_floor cores;
-          exit 1
-        end
-        else
-          Printf.printf "  speedup gate: ok (2 domains %.2fx >= %.2fx)\n"
-            speedup speedup_floor
-
 (* Disabled-tracing overhead probe. The instrumentation contract is
    that with no recorder attached every trace site costs a single
    guarded branch ([Trace.enabled] on a detached emitter) — the payload
@@ -544,7 +513,6 @@ let () =
     prerr_endline "macro: sharded run diverged from serial";
     exit 1
   end;
-  check_speedup_gate ~base sweep;
   List.iter
     (fun ((p : Chaos.point), _) ->
       Printf.printf

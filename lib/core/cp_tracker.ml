@@ -27,7 +27,8 @@ type t = {
   channel_state : bool;
   max_sid : int;
   wraparound : bool;
-  units : ustate Unit_id.Map.t;
+  units : ustate Unit_id.Map.t;  (* ordered: [poll] reports in this order *)
+  index : ustate Unit_id.Tbl.t;  (* the same states, for O(1) lookup *)
   report : Report.t -> unit;
   windows : (int, Time.t * Time.t) Hashtbl.t;
   mutable processed : int;
@@ -67,11 +68,14 @@ let create ~channel_state ?(max_sid = 255) ?(wraparound = true) ~units ~report (
       (fun acc spec -> Unit_id.Map.add spec.uid (mk spec) acc)
       Unit_id.Map.empty units
   in
+  let index = Unit_id.Tbl.create (Unit_id.Map.cardinal map) in
+  Unit_id.Map.iter (Unit_id.Tbl.replace index) map;
   {
     channel_state;
     max_sid;
     wraparound;
     units = map;
+    index;
     report;
     windows = Hashtbl.create 64;
     processed = 0;
@@ -79,7 +83,7 @@ let create ~channel_state ?(max_sid = 255) ?(wraparound = true) ~units ~report (
   }
 
 let ustate t uid =
-  match Unit_id.Map.find_opt uid t.units with
+  match Unit_id.Tbl.find_opt t.index uid with
   | Some u -> u
   | None -> invalid_arg ("Cp_tracker: unknown unit " ^ Unit_id.to_string uid)
 

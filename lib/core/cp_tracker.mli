@@ -49,7 +49,8 @@ val create :
 val on_notify : t -> now:Time.t -> Notification.t -> unit
 (** Main event handler (Fig. 7, [OnNotifyCS] / [OnNotifyNoCS]). Duplicate
     notifications are ignored; [now] is the control plane's receive time
-    used to stamp emitted reports. *)
+    used to stamp emitted reports. Raises [Invalid_argument] for a unit the
+    tracker was not created with. *)
 
 val poll : t -> now:Time.t -> unit
 (** Proactively read every unit's snapshot-ID and Last Seen registers and

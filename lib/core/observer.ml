@@ -17,14 +17,19 @@ type snapshot = {
   timed_out : int list;
 }
 
+(* A registered device with the dense indices of its units. *)
+type member = { dev : device; idx : int array }
+
 type pending = {
   p_sid : int;
-  mutable p_reports : Report.t Unit_id.Map.t;
-  mutable p_missing : Unit_id.Set.t;
+  mutable p_slots : Report.t option array;
+      (* by dense unit index, sized to the units registered at take time;
+         [||] once finished *)
+  mutable p_missing : int;
   mutable p_retries : int;
   mutable p_excluded : int list;
   mutable p_done : bool;
-  p_expected_devices : device list;
+  p_expected : member list;
 }
 
 type t = {
@@ -34,9 +39,10 @@ type t = {
   max_retries : int;
   max_outstanding : int;
   retain : int option;  (* finished snapshots kept; None = all *)
-  mutable devices : device list;
+  mutable members : member list;
+  index : int Unit_id.Tbl.t;  (* unit -> dense index *)
+  mutable template : int Unit_id.Map.t;  (* same, ordered: shapes [reports] *)
   mutable next_sid : int;
-  mutable unit_owner : int Unit_id.Map.t;  (* unit -> device *)
   pending : (int, pending) Hashtbl.t;
   finished : (int, snapshot) Hashtbl.t;
   finished_order : int Queue.t;  (* completion order, for eviction *)
@@ -64,9 +70,10 @@ let create ~engine ?(lead_time = Time.ms 1) ?(retry_timeout = Time.ms 50)
     max_retries;
     max_outstanding;
     retain;
-    devices = [];
+    members = [];
+    index = Unit_id.Tbl.create 64;
+    template = Unit_id.Map.empty;
     next_sid = 1;
-    unit_owner = Unit_id.Map.empty;
     pending = Hashtbl.create 32;
     finished = Hashtbl.create 256;
     finished_order = Queue.create ();
@@ -78,21 +85,41 @@ let create ~engine ?(lead_time = Time.ms 1) ?(retry_timeout = Time.ms 50)
 
 let set_tracer t e = t.tr <- e
 
+let unit_index t u =
+  match Unit_id.Tbl.find_opt t.index u with
+  | Some i -> i
+  | None ->
+      let i = Unit_id.Tbl.length t.index in
+      Unit_id.Tbl.add t.index u i;
+      t.template <- Unit_id.Map.add u i t.template;
+      i
+
 let register_device t d =
-  t.devices <- d :: t.devices;
-  List.iter (fun u -> t.unit_owner <- Unit_id.Map.add u d.device_id t.unit_owner) d.units
+  let idx = Array.of_list (List.map (unit_index t) d.units) in
+  t.members <- { dev = d; idx } :: t.members
 
 let on_complete t f = t.callbacks <- f :: t.callbacks
 
-let to_snapshot p =
+(* O(units): [filter_map] keeps the template's shape without comparing
+   keys. Units registered after the round was taken index past its
+   slots and are left out. *)
+let to_snapshot t p =
+  let n = Array.length p.p_slots in
+  let reports =
+    Unit_id.Map.filter_map
+      (fun _ i -> if i < n then p.p_slots.(i) else None)
+      t.template
+  in
   let consistent =
     p.p_excluded = []
-    && Unit_id.Map.for_all (fun _ (r : Report.t) -> r.consistent) p.p_reports
+    && Array.for_all
+         (function Some (r : Report.t) -> r.consistent | None -> true)
+         p.p_slots
   in
   {
     sid = p.p_sid;
-    reports = p.p_reports;
-    complete = Unit_id.Set.is_empty p.p_missing && p.p_excluded = [];
+    reports;
+    complete = p.p_missing = 0 && p.p_excluded = [];
     consistent;
     timed_out = p.p_excluded;
   }
@@ -111,7 +138,10 @@ let finish t p =
   if not p.p_done then begin
     p.p_done <- true;
     Hashtbl.remove t.pending p.p_sid;
-    let snap = to_snapshot p in
+    let snap = to_snapshot t p in
+    (* The retry closure keeps [p] alive for a further timeout: release
+       the slots now rather than hold them next to [snap.reports]. *)
+    p.p_slots <- [||];
     Hashtbl.replace t.finished p.p_sid snap;
     Queue.push p.p_sid t.finished_order;
     (* Evict before the callbacks run: a streaming archiver is the
@@ -133,29 +163,23 @@ let rec arm_retry t p =
   ignore
     (Engine.schedule_after t.engine ~delay:t.retry_timeout (fun () ->
          if not p.p_done then begin
-           if not (Unit_id.Set.is_empty p.p_missing) then begin
+           if p.p_missing > 0 then begin
+             (* Devices that still owe reports. *)
+             let owing =
+               List.filter
+                 (fun m -> Array.exists (fun i -> Option.is_none p.p_slots.(i)) m.idx)
+                 p.p_expected
+             in
              if p.p_retries < t.max_retries then begin
                p.p_retries <- p.p_retries + 1;
                t.retries <- t.retries + 1;
-               (* Re-initiate only on devices that still owe reports. *)
-               let owing d =
-                 List.exists (fun u -> Unit_id.Set.mem u p.p_missing) d.units
-               in
-               List.iter
-                 (fun d -> if owing d then d.resend ~sid:p.p_sid)
-                 p.p_expected_devices;
+               List.iter (fun m -> m.dev.resend ~sid:p.p_sid) owing;
                arm_retry t p
              end
              else begin
                (* Give up on unresponsive devices: exclude them (§6, "If a
                   device fails, it may timeout and be excluded"). *)
-               let dead =
-                 List.filter
-                   (fun d -> List.exists (fun u -> Unit_id.Set.mem u p.p_missing) d.units)
-                   p.p_expected_devices
-               in
-               p.p_excluded <- List.map (fun d -> d.device_id) dead;
-               p.p_missing <- Unit_id.Set.empty;
+               p.p_excluded <- List.map (fun m -> m.dev.device_id) owing;
                finish t p
              end
            end
@@ -163,7 +187,7 @@ let rec arm_retry t p =
 
 let try_take_snapshot t ?at () =
   if Hashtbl.length t.pending >= t.max_outstanding then Error Pacing_full
-  else if t.devices = [] then Error No_devices
+  else if t.members = [] then Error No_devices
   else begin
   let sid = t.next_sid in
   t.next_sid <- sid + 1;
@@ -174,24 +198,20 @@ let try_take_snapshot t ?at () =
   if Trace.enabled t.tr then
     Trace.emit t.tr ~at:(Engine.now t.engine)
       (Trace.Snap_request { sid; fire_at });
-  let missing =
-    List.fold_left
-      (fun acc d -> List.fold_left (fun acc u -> Unit_id.Set.add u acc) acc d.units)
-      Unit_id.Set.empty t.devices
-  in
+  let n = Unit_id.Tbl.length t.index in
   let p =
     {
       p_sid = sid;
-      p_reports = Unit_id.Map.empty;
-      p_missing = missing;
+      p_slots = Array.make n None;
+      p_missing = n;
       p_retries = 0;
       p_excluded = [];
       p_done = false;
-      p_expected_devices = t.devices;
+      p_expected = t.members;
     }
   in
   Hashtbl.replace t.pending sid p;
-  List.iter (fun d -> d.initiate ~sid ~fire_at) t.devices;
+  List.iter (fun m -> m.dev.initiate ~sid ~fire_at) t.members;
   (* First retry check fires one timeout after the scheduled execution. *)
   ignore
     (Engine.schedule t.engine ~at:fire_at (fun () -> arm_retry t p));
@@ -204,17 +224,18 @@ let on_report t (r : Report.t) =
       (* Spurious: unknown sid (pre-registration jump-ahead, or a repeat
          for an already-finished snapshot). Ignored by design. *)
       ()
-  | Some p ->
-      if Unit_id.Set.mem r.unit_id p.p_missing then begin
-        p.p_missing <- Unit_id.Set.remove r.unit_id p.p_missing;
-        p.p_reports <- Unit_id.Map.add r.unit_id r p.p_reports;
-        if Unit_id.Set.is_empty p.p_missing then finish t p
-      end
+  | Some p -> (
+      match Unit_id.Tbl.find_opt t.index r.unit_id with
+      | Some i when i < Array.length p.p_slots && Option.is_none p.p_slots.(i) ->
+          p.p_slots.(i) <- Some r;
+          p.p_missing <- p.p_missing - 1;
+          if p.p_missing = 0 then finish t p
+      | _ -> ())
 
 let result t ~sid =
   match Hashtbl.find_opt t.finished sid with
   | Some s -> Some s
-  | None -> Option.map to_snapshot (Hashtbl.find_opt t.pending sid)
+  | None -> Option.map (to_snapshot t) (Hashtbl.find_opt t.pending sid)
 
 let completed t ~sid = Hashtbl.mem t.finished sid
 let outstanding t = Hashtbl.length t.pending

@@ -35,3 +35,9 @@ end
 
 module Map = Map.Make (Ord)
 module Set = Set.Make (Ord)
+module Tbl = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+  let hash = hash
+end)

@@ -28,3 +28,6 @@ val to_string : t -> string
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
+
+module Tbl : Hashtbl.S with type key = t
+(** Hash table keyed by unit: O(1) lookup where no ordering is needed. *)

@@ -521,6 +521,15 @@ let test_tracker_sync_window () =
       Alcotest.(check int) "window hi" 170 hi
   | None -> Alcotest.fail "no window recorded"
 
+let test_tracker_unknown_unit_rejected () =
+  let u, _, tracker, _, notifs, _ = mk_tracked () in
+  Snapshot_unit.process_initiation u ~now:0 ~sid:1 ~ghost_sid:1;
+  let n = Queue.pop notifs in
+  let stranger = Unit_id.egress ~switch:9 ~port:9 in
+  match Cp_tracker.on_notify tracker ~now:1 { n with Notification.unit_id = stranger } with
+  | () -> Alcotest.fail "notification for an unknown unit accepted"
+  | exception Invalid_argument _ -> ()
+
 (* ------------------------------------------------------------------ *)
 (* Observer *)
 
@@ -639,6 +648,133 @@ let test_observer_spurious_report_ignored () =
   Observer.on_report obs (report ~uid:u1 ~sid:999);
   Alcotest.(check bool) "not recorded" true (Observer.result obs ~sid:999 = None)
 
+(* Property: whatever the order, duplication and staleness of the
+   reports, the round holds exactly the first report each unit sent for
+   its sid and completes exactly once. Devices own 1-4 units each; every
+   report carries its position in the stream as value so the first and a
+   later duplicate differ. *)
+let test_observer_assembly_matches_reference =
+  let gen =
+    QCheck.(
+      triple
+        (list_of_size (Gen.int_range 1 3) (int_range 1 4))
+        (list_of_size (Gen.int_range 0 40) (triple small_nat (int_range 0 2) bool))
+        int)
+  in
+  QCheck.Test.make ~name:"assembly = first report per unit" ~count:200 gen
+    (fun (sizes, stream, perm_seed) ->
+      (* Shrinking may empty the device list below the generator's bound. *)
+      QCheck.assume (sizes <> []);
+      let engine = Engine.create () in
+      let obs = Observer.create ~engine () in
+      let units =
+        List.mapi
+          (fun d n ->
+            let us = List.init n (fun p -> Unit_id.ingress ~switch:d ~port:p) in
+            Observer.register_device obs (snd (mk_fake_device d ~units:us));
+            us)
+          sizes
+        |> List.concat |> Array.of_list
+      in
+      let n = Array.length units in
+      let completions = ref [] in
+      Observer.on_complete obs (fun s -> completions := s :: !completions);
+      (* Round 1 completes first: its sid is stale in round 2. *)
+      let stale = take_snapshot_exn obs in
+      Array.iter (fun uid -> Observer.on_report obs (report ~uid ~sid:stale)) units;
+      let sid = take_snapshot_exn obs in
+      let pos = ref 0 in
+      let expected = ref Unit_id.Map.empty in
+      let send uid ~sid:s ~consistent =
+        incr pos;
+        let r = { (report ~uid ~sid:s) with value = Some (float !pos); consistent } in
+        Observer.on_report obs r;
+        if s = sid && not (Unit_id.Map.mem uid !expected) then
+          expected := Unit_id.Map.add uid r !expected
+      in
+      List.iter
+        (fun (u, which, consistent) ->
+          let s = match which with 0 -> sid | 1 -> stale | _ -> sid + 7 in
+          send units.(u mod n) ~sid:s ~consistent)
+        stream;
+      (* Then every unit reports once more, in a random order. *)
+      let order = Array.copy units in
+      let rng = Random.State.make [| perm_seed |] in
+      for i = n - 1 downto 1 do
+        let j = Random.State.int rng (i + 1) in
+        let x = order.(i) in
+        order.(i) <- order.(j);
+        order.(j) <- x
+      done;
+      Array.iter (fun uid -> send uid ~sid ~consistent:true) order;
+      match (List.filter (fun s -> s.Observer.sid = sid) !completions, Observer.result obs ~sid) with
+      | [ fired ], Some s ->
+          fired == s && s.Observer.complete
+          && Unit_id.Map.equal ( = ) s.Observer.reports !expected
+          && s.Observer.consistent
+             = Unit_id.Map.for_all (fun _ (r : Report.t) -> r.consistent) !expected
+      | _ -> false)
+
+let test_observer_silent_device_excluded () =
+  let engine = Engine.create () in
+  let obs =
+    Observer.create ~engine ~retry_timeout:(Time.ms 10) ~max_retries:2 ()
+  in
+  let a1 = Unit_id.ingress ~switch:0 ~port:0 in
+  let a2 = Unit_id.egress ~switch:0 ~port:0 in
+  let b1 = Unit_id.ingress ~switch:1 ~port:0 in
+  let fa, da = mk_fake_device 0 ~units:[ a1; a2 ] in
+  let fb, db = mk_fake_device 1 ~units:[ b1 ] in
+  Observer.register_device obs da;
+  Observer.register_device obs db;
+  let sid = take_snapshot_exn obs in
+  Observer.on_report obs (report ~uid:a1 ~sid);
+  Observer.on_report obs (report ~uid:a2 ~sid);
+  Engine.run_until engine (Time.ms 200);
+  Alcotest.(check int) "reporting device never resent to" 0 (List.length fa.fd_resends);
+  Alcotest.(check (list int)) "silent device resent to" [ sid; sid ] fb.fd_resends;
+  match Observer.result obs ~sid with
+  | Some s ->
+      Alcotest.(check (list int)) "silent device timed out" [ 1 ] s.Observer.timed_out;
+      Alcotest.(check bool) "not complete" false s.Observer.complete;
+      Alcotest.(check bool) "not consistent" false s.Observer.consistent;
+      Alcotest.(check (list string)) "reports: the other device's units"
+        (List.map Unit_id.to_string [ a1; a2 ])
+        (List.map
+           (fun (u, _) -> Unit_id.to_string u)
+           (Unit_id.Map.bindings s.Observer.reports))
+  | None -> Alcotest.fail "no result after exclusion"
+
+let test_observer_late_device_not_in_round () =
+  let engine = Engine.create () in
+  let obs = Observer.create ~engine () in
+  let a1 = Unit_id.ingress ~switch:0 ~port:0 in
+  let b1 = Unit_id.ingress ~switch:1 ~port:0 in
+  let _, da = mk_fake_device 0 ~units:[ a1 ] in
+  let fb, db = mk_fake_device 1 ~units:[ b1 ] in
+  Observer.register_device obs da;
+  let sid = take_snapshot_exn obs in
+  Observer.register_device obs db;
+  (* The late unit's report neither counts nor blocks the round. *)
+  Observer.on_report obs (report ~uid:b1 ~sid);
+  Alcotest.(check bool) "still waiting on the old device" false (Observer.completed obs ~sid);
+  Observer.on_report obs (report ~uid:a1 ~sid);
+  (match Observer.result obs ~sid with
+  | Some s ->
+      Alcotest.(check bool) "complete without the late device" true s.Observer.complete;
+      Alcotest.(check bool) "late unit left out" false
+        (Unit_id.Map.mem b1 s.Observer.reports);
+      Alcotest.(check int) "one report" 1 (Unit_id.Map.cardinal s.Observer.reports)
+  | None -> Alcotest.fail "no result");
+  Alcotest.(check int) "late device not initiated" 0 (List.length fb.fd_initiations);
+  (* The next round includes it. *)
+  let sid2 = take_snapshot_exn obs in
+  Alcotest.(check int) "initiated next round" 1 (List.length fb.fd_initiations);
+  Observer.on_report obs (report ~uid:a1 ~sid:sid2);
+  Alcotest.(check bool) "next round waits for it" false (Observer.completed obs ~sid:sid2);
+  Observer.on_report obs (report ~uid:b1 ~sid:sid2);
+  Alcotest.(check bool) "next round completes" true (Observer.completed obs ~sid:sid2)
+
 let q = QCheck_alcotest.to_alcotest
 
 let () =
@@ -697,6 +833,8 @@ let () =
             test_tracker_poll_recovers_lost_notifications;
           Alcotest.test_case "exclusion unblocks" `Quick test_tracker_exclusion_unblocks;
           Alcotest.test_case "sync window" `Quick test_tracker_sync_window;
+          Alcotest.test_case "unknown unit rejected" `Quick
+            test_tracker_unknown_unit_rejected;
         ] );
       ( "observer",
         [
@@ -706,5 +844,10 @@ let () =
           Alcotest.test_case "pacing cap" `Quick test_observer_pacing_cap;
           Alcotest.test_case "spurious report ignored" `Quick
             test_observer_spurious_report_ignored;
+          q test_observer_assembly_matches_reference;
+          Alcotest.test_case "silent device excluded" `Quick
+            test_observer_silent_device_excluded;
+          Alcotest.test_case "late device not in round" `Quick
+            test_observer_late_device_not_in_round;
         ] );
     ]
