@@ -452,14 +452,27 @@ let to_json ~mode ~serial ~base ~sharded ~chaos ~overhead ~updates ~large ~apps
     (large_scale_json large) (apps_json apps) (fuzz_json fuzz)
 
 let () =
-  let quick =
-    Sys.getenv_opt "SPEEDLIGHT_QUICK" = Some "1"
-    || Array.exists (fun a -> a = "--quick") Sys.argv
-  in
+  let quick = ref (Sys.getenv_opt "SPEEDLIGHT_QUICK" = Some "1") in
   let out = ref "BENCH_sim.json" in
-  Array.iteri
-    (fun i a -> if a = "-o" && i + 1 < Array.length Sys.argv then out := Sys.argv.(i + 1))
-    Sys.argv;
+  (* Arg prints the usage and exits 2 on an unknown flag or a missing
+     value, before any work is done. *)
+  Arg.parse
+    (Arg.align
+       [
+         ("--quick", Arg.Set quick, " ~15 ms of simulated time (smoke test)");
+         ("-o", Arg.Set_string out, "PATH write the JSON report to PATH");
+       ])
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    "usage: macro.exe [--quick] [-o PATH]";
+  let quick = !quick in
+  (* Open the report first so an unwritable path fails now, not after
+     the run. *)
+  let oc =
+    try open_out !out
+    with Sys_error msg ->
+      prerr_endline ("macro: " ^ msg);
+      exit 2
+  in
   let serial = run ~quick ~fat_tree:false ~domains:1 in
   (* The sharded sweep's baseline is its own 1-domain run (same k=4
      fat-tree configuration), not the leaf-spine headline number. *)
@@ -479,7 +492,6 @@ let () =
       ~mode:(if quick then "quick" else "full")
       ~serial ~base ~sharded:sweep ~chaos ~overhead ~updates ~large ~apps ~fuzz
   in
-  let oc = open_out !out in
   output_string oc json;
   close_out oc;
   Printf.printf "%s" json;

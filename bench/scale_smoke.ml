@@ -66,11 +66,24 @@ let point_json (p : Scale.large_point) =
 let () =
   let out = ref "BENCH_sim.json" in
   let quick = ref true in
-  Array.iteri
-    (fun i a ->
-      if a = "-o" && i + 1 < Array.length Sys.argv then out := Sys.argv.(i + 1);
-      if a = "--full" then quick := false)
-    Sys.argv;
+  (* Arg prints the usage and exits 2 on an unknown flag or a missing
+     value, before any work is done. *)
+  Arg.parse
+    (Arg.align
+       [
+         ("--full", Arg.Clear quick, " add the 3,920- and 10,125-switch fat trees");
+         ("-o", Arg.Set_string out, "PATH write the JSON report to PATH");
+       ])
+    (fun a -> raise (Arg.Bad ("unexpected argument " ^ a)))
+    "usage: scale_smoke.exe [--full] [-o PATH]";
+  (* Open the report first so an unwritable path fails now, not after
+     the run. *)
+  let oc =
+    try open_out !out
+    with Sys_error msg ->
+      prerr_endline ("scale-smoke: " ^ msg);
+      exit 2
+  in
   let wall_budget_s =
     env_float "SPEEDLIGHT_SCALE_WALL_BUDGET_S"
       (if !quick then default_wall_budget_s else default_full_wall_budget_s)
@@ -96,7 +109,6 @@ let () =
       r.Scale.lr_archive_identical
       (String.concat ",\n" (List.map point_json r.Scale.lr_points))
   in
-  let oc = open_out !out in
   output_string oc json;
   close_out oc;
   print_string json;

@@ -2,7 +2,9 @@
    take a synchronized network snapshot of per-port packet counters with
    channel state.
 
-   Run with: dune exec examples/quickstart.exe *)
+   Run with: dune exec examples/quickstart.exe
+   Exits 1 if the snapshot does not complete or any wire violates the
+   consistency check. *)
 
 open Speedlight_sim
 open Speedlight_dataplane
@@ -52,7 +54,9 @@ let () =
 
   (* 5. Read the assembled snapshot. *)
   match Net.result net ~sid:!sid with
-  | None -> print_endline "snapshot did not complete (should not happen)"
+  | None ->
+      prerr_endline "snapshot did not complete (should not happen)";
+      exit 1
   | Some snap ->
       Printf.printf "snapshot %d: complete=%b consistent=%b, %d unit reports\n"
         snap.Observer.sid snap.Observer.complete snap.Observer.consistent
@@ -79,6 +83,7 @@ let () =
          wire: packets the sender counted = packets the receiver counted
          + packets recorded as in-flight. *)
       print_endline "\ncausal consistency on every wire:";
+      let violations = ref 0 in
       Topology.iter_switch_ports ls.Topology.topo (fun ~switch ~port peer ->
           match peer with
           | Topology.Switch_port (s', p') ->
@@ -90,9 +95,16 @@ let () =
               | Some e, Some i ->
                   let sent = Option.value ~default:nan e.Report.value in
                   let recv = Option.value ~default:nan i.Report.value in
+                  let ok = sent = recv +. i.Report.channel in
+                  if not ok then incr violations;
                   Printf.printf
                     "  s%d/p%d -> s%d/p%d: sent=%-6.0f received=%-6.0f in-flight=%-3.0f  %s\n"
                     switch port s' p' sent recv i.Report.channel
-                    (if sent = recv +. i.Report.channel then "OK" else "VIOLATION")
+                    (if ok then "OK" else "VIOLATION")
               | _ -> ())
-          | Topology.Host_port _ -> ())
+          | Topology.Host_port _ -> ());
+      if !violations > 0 then begin
+        Printf.eprintf "quickstart: %d wire(s) violate causal consistency\n"
+          !violations;
+        exit 1
+      end

@@ -1,14 +1,11 @@
 (* Discrete-event engine.
 
-   The event queue holds bare [unit -> unit] closures: for the dominant
-   fire-and-forget case ([schedule_unit] & friends) the user closure goes
-   into the heap directly — no event record, no handle, nothing to
-   recycle. Cancellable events ([schedule]/[schedule_after]) get a record
-   from an intrusive freelist; the record's [run] closure (allocated once
-   per record, reused across recycles) checks the cancelled flag, recycles
-   the record, then fires. Cancellation handles carry a generation stamp
-   so a handle kept across the record's recycling can never cancel an
-   unrelated later event.
+   The event queue is a 4-ary {!Heap} of bare [unit -> unit] closures:
+   scheduling pushes the caller's closure directly — no event record,
+   nothing to recycle — and dispatch pops the minimum and calls it.
+   Events are never cancelled; a caller whose timer can go stale checks
+   its own state when the closure fires (the control plane's epoch, the
+   observer's per-round done flag).
 
    Tie-breaking: two events at the same instant are ordered by a
    sub-priority. Events scheduled through the [_src] variants carry a
@@ -18,33 +15,16 @@
    This is what makes a sharded run (where cross-shard events are
    re-scheduled at epoch boundaries) produce bit-identical results to a
    serial run: the heap priority of every source-tagged event is the same
-   in both. Anonymous events ([schedule]/[schedule_unit]) keep the legacy
+   in both. Anonymous events ([schedule]/[schedule_after]) keep the legacy
    engine-global sequence and sort after every source-tagged event at the
    same instant. *)
-
-let nop () = ()
-
-type event = {
-  mutable f : unit -> unit;
-  mutable cancelled : bool;
-  mutable gen : int;  (* bumped every time the record is recycled *)
-  mutable next_free : event;  (* freelist link; [sentinel] terminates *)
-  mutable run : unit -> unit;  (* self-recycling wrapper, allocated once *)
-}
-
-(* Freelist terminator, shared by all engines; never mutated. *)
-let rec sentinel =
-  { f = nop; cancelled = true; gen = 0; next_free = sentinel; run = nop }
-
-type handle = { h_ev : event; h_gen : int }
 
 type t = {
   mutable clock : Time.t;
   mutable seq : int;
   mutable processed : int;
-  mutable free : event;
   mutable src_cnt : int array;  (* per stable source: events scheduled *)
-  queue : (unit -> unit) Calq.t;
+  queue : (unit -> unit) Heap.t;
   (* Observation hook run once per dispatched event (tracing/metrics);
      [None] in steady state — the dispatch loops pay one branch. *)
   mutable on_dispatch : (unit -> unit) option;
@@ -64,9 +44,8 @@ let create ?capacity () =
     clock = Time.zero;
     seq = 0;
     processed = 0;
-    free = sentinel;
     src_cnt = [||];
-    queue = Calq.create ?capacity ();
+    queue = Heap.create ?capacity ();
     on_dispatch = None;
   }
 
@@ -79,7 +58,7 @@ let[@inline] dispatched t =
   match t.on_dispatch with None -> () | Some h -> h ()
 
 let enqueue t ~at g =
-  Calq.push t.queue ~key:at ~seq:(anon_base lor t.seq) g;
+  Heap.push t.queue ~key:at ~seq:(anon_base lor t.seq) g;
   t.seq <- t.seq + 1
 
 let sub_of_src t src =
@@ -98,21 +77,20 @@ let sub_of_src t src =
   Array.unsafe_set t.src_cnt src (c + 1);
   (src lsl src_shift) lor c
 
-let enqueue_src t ~src ~at g = Calq.push t.queue ~key:at ~seq:(sub_of_src t src) g
+let enqueue_src t ~src ~at g = Heap.push t.queue ~key:at ~seq:(sub_of_src t src) g
 
-(* Fast paths: the closure goes into the heap directly. *)
-
-let schedule_unit t ~at f =
+let schedule t ~at f =
   if at < t.clock then
     invalid_arg
       (Printf.sprintf "Engine.schedule: time %d is in the past (now %d)" at t.clock);
   enqueue t ~at f
 
-let schedule_after_unit t ~delay f =
+let schedule_after t ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule_after: negative delay";
   enqueue t ~at:(t.clock + delay) f
 
-let schedule_imm t f = enqueue t ~at:t.clock f
+let schedule_unit = schedule
+let schedule_after_unit = schedule_after
 
 (* Source-tagged variants: deterministic tie order across executions. *)
 
@@ -127,54 +105,14 @@ let schedule_src_after_unit t ~src ~delay f =
   if delay < 0 then invalid_arg "Engine.schedule_src_after: negative delay";
   enqueue_src t ~src ~at:(t.clock + delay) f
 
-(* Handle-returning variants, backed by the pooled event records. *)
-
-let alloc t f =
-  let ev = t.free in
-  if ev == sentinel then begin
-    let ev = { f; cancelled = false; gen = 0; next_free = sentinel; run = nop } in
-    ev.run <-
-      (fun () ->
-        let g = ev.f in
-        let fire = not ev.cancelled in
-        (* Recycle before firing so the handler's own scheduling can reuse
-           this record; the generation bump invalidates old handles. *)
-        ev.f <- nop;
-        ev.cancelled <- false;
-        ev.gen <- ev.gen + 1;
-        ev.next_free <- t.free;
-        t.free <- ev;
-        if fire then g ());
-    ev
-  end
-  else begin
-    t.free <- ev.next_free;
-    ev.next_free <- sentinel;
-    ev.f <- f;
-    ev
-  end
-
-let schedule t ~at f =
-  if at < t.clock then
-    invalid_arg
-      (Printf.sprintf "Engine.schedule: time %d is in the past (now %d)" at t.clock);
-  let ev = alloc t f in
-  enqueue t ~at ev.run;
-  { h_ev = ev; h_gen = ev.gen }
-
-let schedule_after t ~delay f =
-  if delay < 0 then invalid_arg "Engine.schedule_after: negative delay";
-  schedule t ~at:(t.clock + delay) f
-
-let cancel h = if h.h_ev.gen = h.h_gen then h.h_ev.cancelled <- true
-let pending t = Calq.length t.queue
-let queue_high_water t = Calq.high_water t.queue
+let pending t = Heap.length t.queue
+let queue_high_water t = Heap.high_water t.queue
 
 let step t =
-  if Calq.is_empty t.queue then false
+  if Heap.is_empty t.queue then false
   else begin
-    t.clock <- Calq.top_key t.queue;
-    let g = Calq.pop_top t.queue in
+    t.clock <- Heap.top_key t.queue;
+    let g = Heap.pop_top t.queue in
     dispatched t;
     g ();
     true
@@ -187,13 +125,13 @@ let run_until t deadline =
   let q = t.queue in
   let continue = ref true in
   while !continue do
-    if Calq.is_empty q then continue := false
+    if Heap.is_empty q then continue := false
     else begin
-      let k = Calq.top_key q in
+      let k = Heap.top_key q in
       if k > deadline then continue := false
       else begin
         t.clock <- k;
-        let g = Calq.pop_top q in
+        let g = Heap.pop_top q in
         dispatched t;
         g ()
       end
@@ -210,18 +148,18 @@ let run_until_excl t bound =
   let q = t.queue in
   let continue = ref true in
   while !continue do
-    if Calq.is_empty q then continue := false
+    if Heap.is_empty q then continue := false
     else begin
-      let k = Calq.top_key q in
+      let k = Heap.top_key q in
       if k >= bound then continue := false
       else begin
         t.clock <- k;
-        let g = Calq.pop_top q in
+        let g = Heap.pop_top q in
         dispatched t;
         g ()
       end
     end
   done
 
-let next_key t = Calq.peek_key t.queue
+let next_key t = Heap.peek_key t.queue
 let advance_clock t deadline = if deadline > t.clock then t.clock <- deadline

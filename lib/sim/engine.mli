@@ -5,43 +5,33 @@
     makes runs deterministic for a given seed. The engine is single-threaded
     and re-entrant: event handlers may schedule further events.
 
-    Event records are pooled on a freelist: in steady state, scheduling
-    allocates nothing beyond the handler closure itself. Use the [_unit]
-    variants on hot paths where the event is never cancelled. *)
+    Pending events sit in a 4-ary {!Heap}; scheduling allocates nothing
+    beyond the handler closure itself. Events cannot be cancelled: a
+    handler that may have gone stale checks its own state when it runs. *)
 
 type t
 
-type handle
-(** A cancellation handle for a scheduled event. Handles are
-    generation-stamped: a handle kept after its event fired (or was
-    cancelled) is inert, even though the underlying record is recycled. *)
-
 val create : ?capacity:int -> unit -> t
 (** [create ?capacity ()] pre-sizes the event queue for [capacity]
-    simultaneous pending events (see {!Calq.create}). *)
+    simultaneous pending events (see {!Heap.create}). *)
 
 val now : t -> Time.t
 (** Current simulated time. *)
 
-val schedule : t -> at:Time.t -> (unit -> unit) -> handle
-(** [schedule t ~at f] runs [f] at absolute time [at]. Scheduling in the
-    past raises [Invalid_argument]. *)
+val schedule : t -> at:Time.t -> (unit -> unit) -> unit
+(** [schedule t ~at f] runs [f] at absolute time [at], after every event
+    already scheduled for that instant (FIFO). Scheduling in the past
+    raises [Invalid_argument]. *)
 
-val schedule_after : t -> delay:Time.t -> (unit -> unit) -> handle
+val schedule_after : t -> delay:Time.t -> (unit -> unit) -> unit
 (** [schedule_after t ~delay f] runs [f] [delay] after the current time.
     Negative delays raise [Invalid_argument]. *)
 
 val schedule_unit : t -> at:Time.t -> (unit -> unit) -> unit
-(** {!schedule} without a cancellation handle: the allocation-free fast
-    path for fire-and-forget events. *)
+(** The same function as {!schedule}. *)
 
 val schedule_after_unit : t -> delay:Time.t -> (unit -> unit) -> unit
-(** {!schedule_after} without a cancellation handle. *)
-
-val schedule_imm : t -> (unit -> unit) -> unit
-(** [schedule_imm t f] runs [f] at the current instant, after every event
-    already scheduled for this instant (FIFO). Equivalent to
-    [schedule_unit t ~at:(now t) f] but skips the past-check. *)
+(** The same function as {!schedule_after}. *)
 
 (** {2 Source-tagged scheduling}
 
@@ -62,21 +52,15 @@ val schedule_src_unit : t -> src:int -> at:Time.t -> (unit -> unit) -> unit
 val schedule_src_after_unit : t -> src:int -> delay:Time.t -> (unit -> unit) -> unit
 (** Relative-time variant of {!schedule_src_unit}. *)
 
-val cancel : handle -> unit
-(** Cancel a pending event; cancelling a fired or cancelled event is a
-    no-op. *)
-
 val pending : t -> int
-(** Number of events still queued (including cancelled ones not yet
-    reaped). *)
+(** Number of events still queued. *)
 
 val queue_high_water : t -> int
 (** Largest pending-event population this engine's queue has ever held
-    (monotone since creation) — see {!Calq.high_water}. *)
+    (monotone since creation; see {!Heap.high_water}). *)
 
 val processed : t -> int
-(** Total events executed (including cancelled ones reaped) since
-    creation. *)
+(** Total events executed since creation. *)
 
 val set_dispatch_hook : t -> (unit -> unit) option -> unit
 (** Install (or remove) an observation hook run once per dispatched

@@ -26,6 +26,7 @@ type 'a t = {
   mutable free : int array;  (* stack of free slot ids *)
   mutable n_free : int;
   mutable size : int;
+  mutable high_water : int;  (* max [size] ever reached; survives [clear] *)
 }
 
 let default_capacity = 16
@@ -40,10 +41,12 @@ let create ?(capacity = default_capacity) () =
     free = Array.init capacity (fun i -> i);
     n_free = capacity;
     size = 0;
+    high_water = 0;
   }
 
 let length t = t.size
 let is_empty t = t.size = 0
+let high_water t = t.high_water
 
 let grow t v =
   let cap = Array.length t.keys in
@@ -81,6 +84,7 @@ let push t ~key ~seq value =
   (* Sift the hole up, then write the new entry once. *)
   let i = ref t.size in
   t.size <- t.size + 1;
+  if t.size > t.high_water then t.high_water <- t.size;
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 4 in
@@ -98,8 +102,6 @@ let push t ~key ~seq value =
   Array.unsafe_set pos_slot !i sid
 
 let top_key t = t.keys.(0)
-let top_seq t = t.seqs.(0)
-let top_val t = t.slots.(t.pos_slot.(0))
 
 let drop_top t =
   let n = t.size - 1 in
@@ -171,7 +173,7 @@ let drop_top t =
       (Array.unsafe_get t.slots (Array.unsafe_get pos_slot 0))
   end
 
-(* [top_val] + [drop_top] in one call — the engine's per-event pop. *)
+(* The engine's per-event pop: read the minimum's value, then remove it. *)
 let pop_top t =
   let v = t.slots.(t.pos_slot.(0)) in
   drop_top t;
@@ -180,29 +182,11 @@ let pop_top t =
 let pop t =
   if t.size = 0 then None
   else begin
-    let key = top_key t and seq = top_seq t and v = top_val t in
-    drop_top t;
-    Some (key, seq, v)
+    let key = t.keys.(0) and seq = t.seqs.(0) in
+    Some (key, seq, pop_top t)
   end
 
 let peek_key t = if t.size = 0 then None else Some t.keys.(0)
-
-(* Visit every element in arbitrary (array) order, then empty the heap.
-   O(n) — no sifting — which is what makes bulk redistribution into a
-   calendar structure ({!Calq}) cheap. *)
-let drain_unordered t f =
-  for i = 0 to t.size - 1 do
-    f ~key:(Array.unsafe_get t.keys i) ~seq:(Array.unsafe_get t.seqs i)
-      (Array.unsafe_get t.slots (Array.unsafe_get t.pos_slot i))
-  done;
-  let cap = Array.length t.keys in
-  if Array.length t.slots > 0 then
-    Array.fill t.slots 0 (Array.length t.slots) t.slots.(0);
-  for i = 0 to cap - 1 do
-    t.free.(i) <- i
-  done;
-  t.n_free <- cap;
-  t.size <- 0
 
 let clear t =
   (* Keep the backing arrays: a cleared heap that is refilled must not

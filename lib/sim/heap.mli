@@ -1,11 +1,11 @@
-(** A minimal binary min-heap, keyed by [(int, int)] pairs.
+(** A 4-ary min-heap, keyed by [(int, int)] pairs.
 
-    Used as the event queue of the simulation {!Engine}: the primary key is
-    the event time, the secondary key a sequence number guaranteeing FIFO
+    The event queue of the simulation {!Engine}: the primary key is the
+    event time, the secondary key a sub-priority guaranteeing a fixed
     order among events scheduled for the same instant (determinism).
 
-    The implementation stores keys, sequence numbers and values in three
-    parallel flat arrays, so a push/pop cycle allocates nothing and backing
+    The implementation stores keys, sequence numbers and value-slot ids in
+    flat parallel arrays, so a push/pop cycle allocates nothing and backing
     capacity survives {!clear}. *)
 
 type 'a t
@@ -19,6 +19,10 @@ val length : 'a t -> int
 
 val is_empty : 'a t -> bool
 
+val high_water : 'a t -> int
+(** Largest population the heap has ever held. Monotone over the heap's
+    lifetime (not reset by {!clear}). *)
+
 val push : 'a t -> key:int -> seq:int -> 'a -> unit
 (** Insert an element with primary key [key] and tie-breaker [seq].
     Allocation-free once the backing arrays have grown to fit. *)
@@ -30,29 +34,13 @@ val top_key : 'a t -> int
 (** Primary key of the minimum. Undefined on an empty heap — guard with
     {!is_empty}. Allocation-free. *)
 
-val top_seq : 'a t -> int
-(** Tie-breaker of the minimum. Undefined on an empty heap. *)
-
-val top_val : 'a t -> 'a
-(** Value of the minimum, without removing it. Undefined on an empty
-    heap. *)
-
-val drop_top : 'a t -> unit
-(** Remove the minimum. Undefined on an empty heap. [top_key] /
-    [top_val] / [drop_top] together are the allocation-free equivalent of
-    {!pop}. *)
-
 val pop_top : 'a t -> 'a
-(** [top_val] and [drop_top] fused: remove and return the minimum's value.
-    Undefined on an empty heap. Allocation-free. *)
+(** Remove and return the minimum's value. Undefined on an empty heap —
+    guard with {!is_empty}. Allocation-free; with {!top_key} this is the
+    engine's per-event path. *)
 
 val peek_key : 'a t -> int option
 (** The minimum primary key without removing it. *)
-
-val drain_unordered : 'a t -> (key:int -> seq:int -> 'a -> unit) -> unit
-(** Visit every element in unspecified order, then empty the heap (as
-    {!clear}). O(n): used for bulk redistribution between queue
-    structures. The callback must not mutate this heap. *)
 
 val clear : 'a t -> unit
 (** Empty the heap, keeping the backing capacity for reuse. *)

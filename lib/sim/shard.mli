@@ -56,9 +56,8 @@ type stats = {
           workers; 0 unless [~timed:true] *)
   workers : int;
   queue_high_water : int;
-      (** largest pending-event population any one shard's queue reached
-          during the run — compare against {!Calq.default_activate} to
-          see whether the calendar band engaged *)
+      (** largest pending-event population any one shard's queue has
+          held, from its creation to the end of the run *)
 }
 
 val no_stats : stats

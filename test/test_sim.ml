@@ -352,14 +352,6 @@ let test_engine_reentrant_scheduling () =
     (List.rev !log);
   Alcotest.(check int) "final clock" 15 (Engine.now e)
 
-let test_engine_cancel () =
-  let e = Engine.create () in
-  let fired = ref false in
-  let h = Engine.schedule e ~at:10 (fun () -> fired := true) in
-  Engine.cancel h;
-  Engine.run e;
-  Alcotest.(check bool) "cancelled event does not fire" false !fired
-
 let test_engine_past_rejected () =
   let e = Engine.create () in
   ignore (Engine.schedule e ~at:100 (fun () -> ()));
@@ -465,6 +457,53 @@ let test_engine_run_until_excl () =
   Alcotest.(check int) "advance_clock pads forward" 40 (Engine.now e);
   Engine.advance_clock e 35;
   Alcotest.(check int) "advance_clock never goes backwards" 40 (Engine.now e)
+
+(* A population past 65,536 pending events, with the key shapes a
+   bucketed queue gets wrong: a dense sub-100 us band, same-instant ties
+   on a few us-spaced instants, and far ms outliers. Handlers schedule
+   follow-ups re-entrantly. Dispatch must follow (time, FIFO) order, and
+   the queue high water must be the peak pending count and stay there
+   once [run] has emptied the queue. *)
+let test_engine_queue_high_water () =
+  let e = Engine.create () in
+  let rng = Rng.create 42 in
+  let delay () =
+    match Rng.int rng 10 with
+    | 0 -> Time.ms 1 + Rng.int rng (Time.ms 9)
+    | 1 | 2 -> Time.us (Rng.int rng 8)
+    | _ -> Rng.int rng (Time.us 100)
+  in
+  let scheduled = ref 0 and peak = ref 0 and dispatched = ref 0 in
+  let last = ref (-1, -1) in
+  let rec schedule at =
+    let seq = !scheduled in
+    incr scheduled;
+    Engine.schedule e ~at (fun () ->
+        if Engine.now e <> at then
+          Alcotest.failf "event %d ran at %d, scheduled for %d" seq
+            (Engine.now e) at;
+        if compare (at, seq) !last <= 0 then
+          Alcotest.failf "event (%d, %d) dispatched after (%d, %d)" at seq
+            (fst !last) (snd !last);
+        last := (at, seq);
+        incr dispatched;
+        if Rng.int rng 4 = 0 then schedule (Engine.now e + delay ()));
+    peak := Stdlib.max !peak (Engine.pending e)
+  in
+  let n = 70_000 in
+  for _ = 1 to n do
+    schedule (delay ())
+  done;
+  Alcotest.(check int) "high water = pending after the fill" n
+    (Engine.queue_high_water e);
+  Engine.run e;
+  Alcotest.(check int) "every event dispatched" !scheduled !dispatched;
+  Alcotest.(check int) "queue empty" 0 (Engine.pending e);
+  Alcotest.(check bool) "follow-ups were scheduled" true (!scheduled > n);
+  Alcotest.(check int) "high water = peak pending, kept after run" !peak
+    (Engine.queue_high_water e);
+  Alcotest.(check int) "peak is the fill" n !peak
+
 
 (* ------------------------------------------------------------------ *)
 (* Partition *)
@@ -648,83 +687,6 @@ let test_mailbox_multichunk () =
   done
 
 (* ------------------------------------------------------------------ *)
-(* Calq (calendar/ladder event queue) *)
-
-(* Differential oracle: drive a Calq (with a tiny activation threshold,
-   so calendar mode engages and collapses repeatedly) and a plain Heap
-   with the same operation stream, and require identical pop streams.
-   The key mix has a dense near band, same-key FIFO ties and far
-   outliers — the shapes calendar bucketing can get wrong. *)
-let test_calq_matches_heap () =
-  let calq = Calq.create ~activate:32 () in
-  let heap = Heap.create () in
-  let state = ref 42 in
-  let next bound =
-    state := ((!state * 1103515245) + 12345) land 0x3FFFFFFF;
-    !state mod bound
-  in
-  let seq = ref 0 in
-  let push key =
-    incr seq;
-    Calq.push calq ~key ~seq:!seq key;
-    Heap.push heap ~key ~seq:!seq key
-  in
-  let check_pop i =
-    match (Calq.pop calq, Heap.pop heap) with
-    | Some (ck, cs, cv), Some (hk, hs, hv) ->
-        if ck <> hk || cs <> hs || cv <> hv then
-          Alcotest.failf "pop %d: calq (%d,%d,%d) <> heap (%d,%d,%d)" i ck cs
-            cv hk hs hv
-    | None, None -> ()
-    | Some _, None -> Alcotest.failf "pop %d: calq non-empty, heap empty" i
-    | None, Some _ -> Alcotest.failf "pop %d: heap non-empty, calq empty" i
-  in
-  let base = ref 0 in
-  for i = 0 to 9_999 do
-    (* Mostly near-future keys on an advancing front, some exact ties,
-       and an occasional far outlier (schedules like retransmit timers). *)
-    let key =
-      match next 10 with
-      | 0 -> !base + 1_000_000 + next 1_000_000
-      | 1 -> !base + 1
-      | _ -> !base + next 500
-    in
-    push key;
-    (* Interleave pops so the population repeatedly crosses the
-       activation and collapse thresholds in both directions. *)
-    if next 3 = 0 then begin
-      check_pop i;
-      (match Calq.peek_key calq with Some k -> base := k | None -> ());
-      Alcotest.(check int)
-        (Printf.sprintf "length agrees at %d" i)
-        (Heap.length heap) (Calq.length calq)
-    end
-  done;
-  let i = ref 0 in
-  while not (Calq.is_empty calq) || not (Heap.is_empty heap) do
-    incr i;
-    check_pop (10_000 + !i)
-  done
-
-let test_calq_top_accessors () =
-  let q = Calq.create ~activate:16 () in
-  for i = 0 to 99 do
-    Calq.push q ~key:(1000 - (i * 7)) ~seq:i i
-  done;
-  Alcotest.(check int) "top_key" (Calq.top_key q) 307;
-  Alcotest.(check int) "top_seq" 99 (Calq.top_seq q);
-  Alcotest.(check int) "top_val" 99 (Calq.top_val q);
-  Alcotest.(check (option int)) "peek_key" (Some 307) (Calq.peek_key q);
-  Calq.drop_top q;
-  Alcotest.(check int) "next after drop" 314 (Calq.top_key q);
-  Alcotest.(check int) "pop_top returns value" 98 (Calq.pop_top q);
-  Alcotest.(check int) "length tracks" 98 (Calq.length q);
-  Calq.clear q;
-  Alcotest.(check bool) "clear empties" true (Calq.is_empty q);
-  Calq.push q ~key:5 ~seq:1 50;
-  Alcotest.(check (option int)) "usable after clear" (Some 5) (Calq.peek_key q)
-
-(* ------------------------------------------------------------------ *)
 (* Shard *)
 
 (* Two engines exchanging ping-pong messages through mailboxes under
@@ -903,7 +865,6 @@ let () =
           Alcotest.test_case "ordering" `Quick test_engine_ordering;
           Alcotest.test_case "same-time FIFO" `Quick test_engine_same_time_fifo;
           Alcotest.test_case "re-entrant" `Quick test_engine_reentrant_scheduling;
-          Alcotest.test_case "cancel" `Quick test_engine_cancel;
           Alcotest.test_case "past rejected" `Quick test_engine_past_rejected;
           Alcotest.test_case "run_until" `Quick test_engine_run_until;
           Alcotest.test_case "step" `Quick test_engine_step;
@@ -912,6 +873,7 @@ let () =
             test_engine_src_call_order_independent;
           Alcotest.test_case "src vs time" `Quick test_engine_src_earlier_time_wins;
           Alcotest.test_case "run_until_excl" `Quick test_engine_run_until_excl;
+          Alcotest.test_case "queue high water" `Quick test_engine_queue_high_water;
         ] );
       ( "partition",
         [
@@ -928,11 +890,6 @@ let () =
         [
           Alcotest.test_case "fifo" `Quick test_mailbox_fifo;
           Alcotest.test_case "multi-chunk fifo" `Quick test_mailbox_multichunk;
-        ] );
-      ( "calq",
-        [
-          Alcotest.test_case "matches heap" `Quick test_calq_matches_heap;
-          Alcotest.test_case "top accessors" `Quick test_calq_top_accessors;
         ] );
       ( "shard",
         [
