@@ -74,24 +74,9 @@ let bench_on_notify =
   (* The control plane's per-notification work — the Fig. 10 bottleneck
      (the simulated 110 us is CPU scheduling; this is the pure compute). *)
   let u = mk_unit ~cfg:Snapshot_unit.variant_wraparound ~n_neighbors:2 in
-  let access =
-    {
-      Cp_tracker.read_slot = (fun ~ghost_sid -> Snapshot_unit.read_slot u ~ghost_sid);
-      read_sid = (fun () -> Snapshot_unit.current_sid u);
-      read_last_seen = (fun () -> Snapshot_unit.last_seen u);
-    }
-  in
   let tracker =
     Cp_tracker.create ~channel_state:false
-      ~units:
-        [
-          {
-            Cp_tracker.uid = Snapshot_unit.id u;
-            access;
-            n_neighbors = 2;
-            excluded_neighbors = [];
-          };
-        ]
+      ~units:[ { Cp_tracker.unit_ = u; excluded_neighbors = [] } ]
       ~report:(fun _ -> ())
       ()
   in
@@ -105,6 +90,7 @@ let bench_on_notify =
          Cp_tracker.on_notify tracker ~now:!ghost
            {
              Notification.unit_id = Snapshot_unit.id u;
+             unit_ix = Snapshot_unit.index u;
              former_sid = Wrap.wrap ~max_sid:255 (!ghost - 1);
              new_sid = Wrap.wrap ~max_sid:255 !ghost;
              neighbor = None;

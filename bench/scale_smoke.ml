@@ -20,12 +20,14 @@
 
 open Speedlight_experiments
 
-(* Quick-mode budgets are sized for the CI point (k=32 quick: ~6 s /
-   ~0.6 GB observed). --full adds the 3,920- and 10,125-switch fat
-   trees, whose footprint is dominated by the network itself (ports,
-   wires, channel closures), so it carries its own budgets. *)
+(* Quick-mode budgets are sized for the CI point (k=32 quick: ~5-6 s /
+   0.40-0.54 GB observed): the RSS budget is about 3x that, so a
+   per-unit memory regression of that size trips it. --full adds the
+   3,920- and 10,125-switch fat trees, whose footprint is dominated by
+   the network itself (ports, wires, channel closures), so it carries
+   its own budgets. *)
 let default_wall_budget_s = 240.
-let default_rss_budget_kb = 4_000_000 (* 4 GB *)
+let default_rss_budget_kb = 1_500_000 (* 1.5 GB *)
 let default_full_wall_budget_s = 600.
 let default_full_rss_budget_kb = 12_000_000 (* 12 GB *)
 

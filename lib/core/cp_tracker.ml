@@ -1,34 +1,28 @@
 open Speedlight_sim
 open Speedlight_dataplane
 
-type dp_access = {
-  read_slot : ghost_sid:int -> Snapshot_unit.slot_read;
-  read_sid : unit -> int;
-  read_last_seen : unit -> int array;
-}
-
-type unit_spec = {
-  uid : Unit_id.t;
-  access : dp_access;
-  n_neighbors : int;
-  excluded_neighbors : int list;
-}
+type unit_spec = { unit_ : Snapshot_unit.t; excluded_neighbors : int list }
 
 type ustate = {
-  spec : unit_spec;
+  su : Snapshot_unit.t;  (* registers are read straight from the unit *)
+  uid : Unit_id.t;
+  n_neighbors : int;
   mutable ctrl_sid : int;  (* unwrapped *)
   ctrl_last_seen : int array;  (* unwrapped *)
   included : bool array;
   mutable last_read : int;
-  inconsistent : (int, unit) Hashtbl.t;
+  (* Snapshots the data plane skipped past: only the channel-state path
+     ever marks one, so the table is allocated on the first skip. *)
+  mutable inconsistent : (int, unit) Hashtbl.t option;
 }
 
 type t = {
   channel_state : bool;
   max_sid : int;
   wraparound : bool;
-  units : ustate Unit_id.Map.t;  (* ordered: [poll] reports in this order *)
-  index : ustate Unit_id.Tbl.t;  (* the same states, for O(1) lookup *)
+  base : int;  (* dense index of [units.(0)] *)
+  units : ustate array;  (* by dense index - [base] *)
+  by_id : ustate array;  (* the same states by Unit_id: [poll] reports in this order *)
   report : Report.t -> unit;
   windows : (int, Time.t * Time.t) Hashtbl.t;
   mutable processed : int;
@@ -37,6 +31,8 @@ type t = {
 
 let create ~channel_state ?(max_sid = 255) ?(wraparound = true) ~units ~report () =
   let mk spec =
+    let su = spec.unit_ in
+    let n_neighbors = Snapshot_unit.n_neighbors su in
     (* Last Seen shadows and the inclusion mask only drive the
        channel-state completion rule; without channel state a unit
        completes on its own ID alone, so skip the two O(n_neighbors)
@@ -45,47 +41,70 @@ let create ~channel_state ?(max_sid = 255) ?(wraparound = true) ~units ~report (
     let included, ctrl_last_seen =
       if not channel_state then ([||], [||])
       else begin
-        let included = Array.make spec.n_neighbors true in
+        let included = Array.make n_neighbors true in
         included.(0) <- false;
         List.iter
-          (fun n ->
-            if n >= 0 && n < spec.n_neighbors then included.(n) <- false)
+          (fun n -> if n >= 0 && n < n_neighbors then included.(n) <- false)
           spec.excluded_neighbors;
-        (included, Array.make spec.n_neighbors 0)
+        (included, Array.make n_neighbors 0)
       end
     in
     {
-      spec;
+      su;
+      uid = Snapshot_unit.id su;
+      n_neighbors;
       ctrl_sid = 0;
       ctrl_last_seen;
       included;
       last_read = 0;
-      inconsistent = Hashtbl.create 16;
+      inconsistent = None;
     }
   in
-  let map =
-    List.fold_left
-      (fun acc spec -> Unit_id.Map.add spec.uid (mk spec) acc)
-      Unit_id.Map.empty units
-  in
-  let index = Unit_id.Tbl.create (Unit_id.Map.cardinal map) in
-  Unit_id.Map.iter (Unit_id.Tbl.replace index) map;
+  let ix u = Snapshot_unit.index u.su in
+  let units = Array.of_list (List.map mk units) in
+  Array.sort (fun a b -> Int.compare (ix a) (ix b)) units;
+  let base = if Array.length units = 0 then 0 else ix units.(0) in
+  Array.iteri
+    (fun k u ->
+      if ix u <> base + k then
+        invalid_arg "Cp_tracker.create: unit indices must be distinct and contiguous")
+    units;
+  let by_id = Array.copy units in
+  Array.sort (fun a b -> Unit_id.compare a.uid b.uid) by_id;
   {
     channel_state;
     max_sid;
     wraparound;
-    units = map;
-    index;
+    base;
+    units;
+    by_id;
     report;
     windows = Hashtbl.create 64;
     processed = 0;
     duplicates = 0;
   }
 
+let unknown uid = invalid_arg ("Cp_tracker: unknown unit " ^ Unit_id.to_string uid)
+
+(* A notification's unit: its index finds the state, its id must agree. *)
+let at_index t ix uid =
+  let k = ix - t.base in
+  if k < 0 || k >= Array.length t.units then unknown uid
+  else
+    let u = t.units.(k) in
+    if Unit_id.equal u.uid uid then u else unknown uid
+
+(* Queries by id alone: a binary search of [by_id]. *)
 let ustate t uid =
-  match Unit_id.Tbl.find_opt t.index uid with
-  | Some u -> u
-  | None -> invalid_arg ("Cp_tracker: unknown unit " ^ Unit_id.to_string uid)
+  let rec go lo hi =
+    if lo >= hi then unknown uid
+    else
+      let mid = (lo + hi) / 2 in
+      let u = t.by_id.(mid) in
+      let c = Unit_id.compare uid u.uid in
+      if c = 0 then u else if c < 0 then go lo mid else go (mid + 1) hi
+  in
+  go 0 (Array.length t.by_id)
 
 let unwrap t ~reference w =
   if t.wraparound then Wrap.unwrap ~max_sid:t.max_sid ~reference w else w
@@ -94,18 +113,27 @@ let unwrap t ~reference w =
    channels completes as soon as its own ID advances. *)
 let min_included u =
   let acc = ref max_int in
-  for n = 0 to u.spec.n_neighbors - 1 do
+  for n = 0 to u.n_neighbors - 1 do
     if u.included.(n) then acc := Stdlib.min !acc u.ctrl_last_seen.(n)
   done;
   if !acc = max_int then u.ctrl_sid else !acc
 
-let mark_inconsistent u i = Hashtbl.replace u.inconsistent i ()
+let mark_inconsistent u i =
+  match u.inconsistent with
+  | Some tbl -> Hashtbl.replace tbl i ()
+  | None ->
+      let tbl = Hashtbl.create 16 in
+      Hashtbl.replace tbl i ();
+      u.inconsistent <- Some tbl
+
+let marked_inconsistent u i =
+  match u.inconsistent with Some tbl -> Hashtbl.mem tbl i | None -> false
 
 let finalize t u ~now i =
-  let consistent = not (Hashtbl.mem u.inconsistent i) in
+  let consistent = not (marked_inconsistent u i) in
   let value, channel =
     if consistent then begin
-      match u.spec.access.read_slot ~ghost_sid:i with
+      match Snapshot_unit.read_slot u.su ~ghost_sid:i with
       | { Snapshot_unit.value = Some v; channel } -> (Some v, channel)
       | { Snapshot_unit.value = None; _ } ->
           (* Register no longer holds this snapshot (ring reuse after an
@@ -117,7 +145,8 @@ let finalize t u ~now i =
   let consistent = consistent && value <> None in
   t.report
     {
-      Report.unit_id = u.spec.uid;
+      Report.unit_id = u.uid;
+      unit_ix = Snapshot_unit.index u.su;
       sid = i;
       value;
       channel;
@@ -148,7 +177,7 @@ let read_no_cs t u ~now =
     let results = Array.make n (None, false) in
     let valid = ref None in
     for i = hi downto lo do
-      match u.spec.access.read_slot ~ghost_sid:i with
+      match Snapshot_unit.read_slot u.su ~ghost_sid:i with
       | { Snapshot_unit.value = Some v; _ } ->
           valid := Some v;
           results.(i - lo) <- (Some v, false)
@@ -159,7 +188,8 @@ let read_no_cs t u ~now =
         let value, inferred = results.(i - lo) in
         t.report
           {
-            Report.unit_id = u.spec.uid;
+            Report.unit_id = u.uid;
+            unit_ix = Snapshot_unit.index u.su;
             sid = i;
             value;
             channel = 0.;
@@ -193,7 +223,7 @@ let handle_sid_update t u ~now ~new_sid =
   else false
 
 let handle_ls_update t u ~now ~neighbor ~new_ls =
-  if t.channel_state && neighbor >= 0 && neighbor < u.spec.n_neighbors
+  if t.channel_state && neighbor >= 0 && neighbor < u.n_neighbors
      && new_ls > u.ctrl_last_seen.(neighbor)
   then begin
     u.ctrl_last_seen.(neighbor) <- new_ls;
@@ -204,7 +234,7 @@ let handle_ls_update t u ~now ~neighbor ~new_ls =
 
 let on_notify t ~now (n : Notification.t) =
   t.processed <- t.processed + 1;
-  let u = ustate t n.unit_id in
+  let u = at_index t n.unit_ix n.unit_id in
   let new_sid = unwrap t ~reference:u.ctrl_sid n.new_sid in
   (* Record the synchronization window before any state updates. *)
   (match Hashtbl.find_opt t.windows new_sid with
@@ -223,20 +253,20 @@ let on_notify t ~now (n : Notification.t) =
   if not (sid_progress || ls_progress) then t.duplicates <- t.duplicates + 1
 
 let poll t ~now =
-  Unit_id.Map.iter
-    (fun _ u ->
-      let w = u.spec.access.read_sid () in
+  Array.iter
+    (fun u ->
+      let w = Snapshot_unit.current_sid u.su in
       let new_sid = unwrap t ~reference:u.ctrl_sid w in
       ignore (handle_sid_update t u ~now ~new_sid);
       if t.channel_state then begin
-        let ls = u.spec.access.read_last_seen () in
+        let ls = Snapshot_unit.last_seen u.su in
         Array.iteri
           (fun nbr w ->
             let new_ls = unwrap t ~reference:u.ctrl_last_seen.(nbr) w in
             ignore (handle_ls_update t u ~now ~neighbor:nbr ~new_ls))
           ls
       end)
-    t.units
+    t.by_id
 
 let exclude_neighbor t ~now uid neighbor =
   let u = ustate t uid in
@@ -249,12 +279,12 @@ let exclude_neighbor t ~now uid neighbor =
 
 let is_excluded t uid neighbor =
   let u = ustate t uid in
-  neighbor >= 0 && neighbor < u.spec.n_neighbors
+  neighbor >= 0 && neighbor < u.n_neighbors
   && (neighbor >= Array.length u.included || not u.included.(neighbor))
 
 let ctrl_sid t uid = (ustate t uid).ctrl_sid
 let finished_through t uid = (ustate t uid).last_read
-let is_inconsistent t uid ~sid = Hashtbl.mem (ustate t uid).inconsistent sid
+let is_inconsistent t uid ~sid = marked_inconsistent (ustate t uid) sid
 let sync_window t ~sid = Hashtbl.find_opt t.windows sid
 let notifications_processed t = t.processed
 let duplicates_dropped t = t.duplicates

@@ -15,18 +15,12 @@
 open Speedlight_sim
 open Speedlight_dataplane
 
-type dp_access = {
-  read_slot : ghost_sid:int -> Snapshot_unit.slot_read;
-  read_sid : unit -> int;  (** wrapped current snapshot ID register *)
-  read_last_seen : unit -> int array;  (** wrapped Last Seen registers *)
-}
-(** Direct register access to one processing unit (the PCIe path used both
-    for value collection and for proactive polling). *)
-
 type unit_spec = {
-  uid : Unit_id.t;
-  access : dp_access;
-  n_neighbors : int;  (** including the control plane at index 0 *)
+  unit_ : Snapshot_unit.t;
+      (** the tracked unit: its id, dense index ({!Snapshot_unit.index})
+          and neighbor count, and the registers the tracker reads over
+          the PCIe path, both for value collection and for proactive
+          polling *)
   excluded_neighbors : int list;
       (** Last Seen entries removed from completion consideration (§6
           "Ensuring liveness", e.g. host-facing channels); index 0 (the
@@ -44,18 +38,23 @@ val create :
   unit ->
   t
 (** [max_sid]/[wraparound] must match the data-plane configuration
-    (defaults: 255, true). *)
+    (defaults: 255, true). The units' dense indices must be distinct and
+    contiguous (a switch's units hold one range of the network's index
+    space): the tracker keeps unit state in an array by index. Raises
+    [Invalid_argument] otherwise. *)
 
 val on_notify : t -> now:Time.t -> Notification.t -> unit
 (** Main event handler (Fig. 7, [OnNotifyCS] / [OnNotifyNoCS]). Duplicate
     notifications are ignored; [now] is the control plane's receive time
-    used to stamp emitted reports. Raises [Invalid_argument] for a unit the
-    tracker was not created with. *)
+    used to stamp emitted reports. The notification's [unit_ix] selects
+    the unit's state; raises [Invalid_argument] when no unit the tracker
+    was created with holds that index and carries that [unit_id]. *)
 
 val poll : t -> now:Time.t -> unit
 (** Proactively read every unit's snapshot-ID and Last Seen registers and
     process any progress found, recovering from dropped notifications
-    (§6). *)
+    (§6). Units are visited in [Unit_id] order, whatever the order of
+    their specs. *)
 
 val exclude_neighbor : t -> now:Time.t -> Unit_id.t -> int -> unit
 (** Remove a Last Seen entry from completion consideration at runtime (§6:

@@ -4,7 +4,7 @@ module Trace = Speedlight_trace.Trace
 
 type device = {
   device_id : int;
-  units : Unit_id.t list;
+  units : (int * Unit_id.t) list;
   initiate : sid:int -> fire_at:Time.t -> unit;
   resend : sid:int -> unit;
 }
@@ -40,8 +40,9 @@ type t = {
   max_outstanding : int;
   retain : int option;  (* finished snapshots kept; None = all *)
   mutable members : member list;
-  index : int Unit_id.Tbl.t;  (* unit -> dense index *)
-  mutable template : int Unit_id.Map.t;  (* same, ordered: shapes [reports] *)
+  mutable unit_ids : Unit_id.t array;  (* by dense index, [n_units] of them registered *)
+  mutable n_units : int;
+  mutable template : int Unit_id.Map.t;  (* unit -> dense index, ordered: shapes [reports] *)
   mutable next_sid : int;
   pending : (int, pending) Hashtbl.t;
   finished : (int, snapshot) Hashtbl.t;
@@ -71,7 +72,8 @@ let create ~engine ?(lead_time = Time.ms 1) ?(retry_timeout = Time.ms 50)
     max_outstanding;
     retain;
     members = [];
-    index = Unit_id.Tbl.create 64;
+    unit_ids = [||];
+    n_units = 0;
     template = Unit_id.Map.empty;
     next_sid = 1;
     pending = Hashtbl.create 32;
@@ -85,17 +87,25 @@ let create ~engine ?(lead_time = Time.ms 1) ?(retry_timeout = Time.ms 50)
 
 let set_tracer t e = t.tr <- e
 
-let unit_index t u =
-  match Unit_id.Tbl.find_opt t.index u with
-  | Some i -> i
-  | None ->
-      let i = Unit_id.Tbl.length t.index in
-      Unit_id.Tbl.add t.index u i;
-      t.template <- Unit_id.Map.add u i t.template;
-      i
+(* Indices are dense in registration order, so a unit registered after
+   a take indexes past that round's slots. *)
+let add_unit t (i, u) =
+  if i <> t.n_units || Unit_id.Map.mem u t.template then
+    invalid_arg
+      (Printf.sprintf "Observer.register_device: %s at index %d, expected a new unit at %d"
+         (Unit_id.to_string u) i t.n_units);
+  if i = Array.length t.unit_ids then begin
+    let grown = Array.make (Stdlib.max 64 (2 * i)) u in
+    Array.blit t.unit_ids 0 grown 0 i;
+    t.unit_ids <- grown
+  end;
+  t.unit_ids.(i) <- u;
+  t.n_units <- i + 1;
+  t.template <- Unit_id.Map.add u i t.template;
+  i
 
 let register_device t d =
-  let idx = Array.of_list (List.map (unit_index t) d.units) in
+  let idx = Array.of_list (List.map (add_unit t) d.units) in
   t.members <- { dev = d; idx } :: t.members
 
 let on_complete t f = t.callbacks <- f :: t.callbacks
@@ -198,7 +208,7 @@ let try_take_snapshot t ?at () =
   if Trace.enabled t.tr then
     Trace.emit t.tr ~at:(Engine.now t.engine)
       (Trace.Snap_request { sid; fire_at });
-  let n = Unit_id.Tbl.length t.index in
+  let n = t.n_units in
   let p =
     {
       p_sid = sid;
@@ -224,13 +234,19 @@ let on_report t (r : Report.t) =
       (* Spurious: unknown sid (pre-registration jump-ahead, or a repeat
          for an already-finished snapshot). Ignored by design. *)
       ()
-  | Some p -> (
-      match Unit_id.Tbl.find_opt t.index r.unit_id with
-      | Some i when i < Array.length p.p_slots && Option.is_none p.p_slots.(i) ->
-          p.p_slots.(i) <- Some r;
-          p.p_missing <- p.p_missing - 1;
-          if p.p_missing = 0 then finish t p
-      | _ -> ())
+  | Some p ->
+      (* The index files the report; the id it carries must name the unit
+         registered there. A unit registered after the take indexes past
+         the round's slots. *)
+      let i = r.unit_ix in
+      if i >= 0 && i < Array.length p.p_slots
+         && Option.is_none p.p_slots.(i)
+         && Unit_id.equal t.unit_ids.(i) r.unit_id
+      then begin
+        p.p_slots.(i) <- Some r;
+        p.p_missing <- p.p_missing - 1;
+        if p.p_missing = 0 then finish t p
+      end
 
 let result t ~sid =
   match Hashtbl.find_opt t.finished sid with

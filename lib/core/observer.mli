@@ -11,7 +11,11 @@ open Speedlight_dataplane
 
 type device = {
   device_id : int;
-  units : Unit_id.t list;  (** processing units expected to report *)
+  units : (int * Unit_id.t) list;
+      (** processing units expected to report, each with its dense index
+          (the [unit_ix] of its reports). Indices follow registration
+          order: the next unit registered takes the number of units
+          registered before it. *)
   initiate : sid:int -> fire_at:Time.t -> unit;
       (** ask the device control plane to initiate snapshot [sid] at
           (devices interpret this against their own clocks) time
@@ -51,12 +55,16 @@ val create :
 
 val register_device : t -> device -> unit
 (** Devices must be registered before the snapshots that include them
-    (§6 "Node attachment"). *)
+    (§6 "Node attachment"). Raises [Invalid_argument] if a unit is
+    already registered or its index is not the next one. *)
 
 val on_report : t -> Report.t -> unit
-(** Deliver a per-unit report from a device control plane. Reports for
-    snapshot IDs predating the device's registration (a freshly attached
-    node jumping ahead) are ignored as spurious. *)
+(** Deliver a per-unit report from a device control plane. The report is
+    filed by its [unit_ix] and counts only if the unit registered at that
+    index, before the snapshot was taken, carries its [unit_id]; others
+    are ignored. Reports for snapshot IDs predating the device's
+    registration (a freshly attached node jumping ahead) are ignored as
+    spurious. *)
 
 type error =
   | Pacing_full

@@ -3,6 +3,7 @@ open Speedlight_dataplane
 
 type t = {
   unit_id : Unit_id.t;
+  unit_ix : int;
   sid : int;
   value : float option;
   channel : float;

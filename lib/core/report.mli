@@ -6,6 +6,9 @@ open Speedlight_dataplane
 
 type t = {
   unit_id : Unit_id.t;
+  unit_ix : int;
+      (** the unit's dense index, copied from its notifications: the
+          observer files the report by it after checking [unit_id] *)
   sid : int;  (** unwrapped snapshot ID *)
   value : float option;
       (** recorded local state; [None] when the snapshot is inconsistent or

@@ -40,6 +40,7 @@ type tap_event =
    -1, which matches nothing. *)
 type t = {
   uid : Unit_id.t;
+  mutable ix : int;  (* dense index in the network; 0 until assigned *)
   cfg : config;
   n_neighbors : int;
   counter : Counter.t;
@@ -88,6 +89,7 @@ let create ?arena ~id ~cfg ~n_neighbors ~counter ~notify () =
   let ls_size = if cfg.channel_state then n_neighbors else 0 in
   {
     uid = id;
+    ix = 0;
     cfg;
     n_neighbors;
     counter;
@@ -118,6 +120,8 @@ let create ?arena ~id ~cfg ~n_neighbors ~counter ~notify () =
   }
 
 let id t = t.uid
+let index t = t.ix
+let set_index t i = t.ix <- i
 let cfg t = t.cfg
 let counter t = t.counter
 let n_neighbors t = t.n_neighbors
@@ -156,6 +160,7 @@ let emit t ~now ~former_sid ~neighbor ~former_ls ~new_ls =
   t.notify
     {
       Notification.unit_id = t.uid;
+      unit_ix = t.ix;
       former_sid;
       new_sid = t.sid;
       neighbor;

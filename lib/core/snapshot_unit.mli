@@ -52,6 +52,16 @@ val create :
     shard's arena so all units of a domain share contiguous planes. *)
 
 val id : t -> Unit_id.t
+
+val index : t -> int
+(** The unit's dense index in its network, stamped on every notification
+    it emits ([Notification.unit_ix]) and carried on to the observer in
+    its reports. 0 until {!set_index}. *)
+
+val set_index : t -> int -> unit
+(** Assign the dense index. The network assigns it once, while it
+    registers units, before any control plane or observer sees the unit. *)
+
 val cfg : t -> config
 val counter : t -> Counter.t
 

@@ -2,6 +2,7 @@ open Speedlight_sim
 
 type t = {
   unit_id : Unit_id.t;
+  unit_ix : int;
   former_sid : int;
   new_sid : int;
   neighbor : int option;

@@ -10,6 +10,9 @@ open Speedlight_sim
 
 type t = {
   unit_id : Unit_id.t;
+  unit_ix : int;
+      (** the unit's dense index in its network: the control plane finds
+          the unit's state by it, and must still check [unit_id] *)
   former_sid : int;
   new_sid : int;
   neighbor : int option;

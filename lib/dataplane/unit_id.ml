@@ -18,8 +18,7 @@ let compare a b =
       | c -> c)
   | c -> c
 
-let equal a b = compare a b = 0
-let hash t = (t.switch * 8191) + (t.port * 2) + dir_int t.dir
+let equal a b = a.switch = b.switch && a.port = b.port && a.dir = b.dir
 
 let pp fmt t =
   Format.fprintf fmt "s%d/p%d/%s" t.switch t.port
@@ -35,9 +34,3 @@ end
 
 module Map = Map.Make (Ord)
 module Set = Set.Make (Ord)
-module Tbl = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = hash
-end)

@@ -22,12 +22,8 @@ val is_app : t -> bool
 
 val compare : t -> t -> int
 val equal : t -> t -> bool
-val hash : t -> int
 val pp : Format.formatter -> t -> unit
 val to_string : t -> string
 
 module Map : Map.S with type key = t
 module Set : Set.S with type elt = t
-
-module Tbl : Hashtbl.S with type key = t
-(** Hash table keyed by unit: O(1) lookup where no ordering is needed. *)

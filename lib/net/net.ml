@@ -230,13 +230,6 @@ let compute_utilized topo routing =
   done;
   tbl
 
-let dp_access_of unit_ =
-  {
-    Cp_tracker.read_slot = (fun ~ghost_sid -> Snapshot_unit.read_slot unit_ ~ghost_sid);
-    read_sid = (fun () -> Snapshot_unit.current_sid unit_);
-    read_last_seen = (fun () -> Snapshot_unit.last_seen unit_);
-  }
-
 (* Undirected switch-switch edges, weighted by link propagation latency. *)
 let switch_edges topo =
   let acc = ref [] in
@@ -692,6 +685,25 @@ let create ?(cfg = Config.default) ?(shards = 1) topo =
       :: !sw_acc
   done;
   t.switches <- Array.of_list (List.rev !sw_acc);
+  (* One dense index per snapshot unit, carried from the data plane to
+     the observer in every notification and report. Each switch holds one
+     contiguous range (its tracker's array); snapshot-enabled switches
+     come first, in the order the observer registers them, so a disabled
+     switch's units index past every round's slots. *)
+  let next_ix = ref 0 in
+  let number s =
+    List.iter
+      (fun u ->
+        Snapshot_unit.set_index u !next_ix;
+        incr next_ix)
+      (Switch.units t.switches.(s))
+  in
+  for s = 0 to n_sw - 1 do
+    if enabled s then number s
+  done;
+  for s = 0 to n_sw - 1 do
+    if not (enabled s) then number s
+  done;
   (* Receive channels: pop one packet per arrival event and feed the
      receiving switch. *)
   for s = 0 to n_sw - 1 do
@@ -843,18 +855,8 @@ let create ?(cfg = Config.default) ?(shards = 1) topo =
               done
             done;
           [
-            {
-              Cp_tracker.uid = Snapshot_unit.id ing;
-              access = dp_access_of ing;
-              n_neighbors = 2;
-              excluded_neighbors = ingress_excl;
-            };
-            {
-              Cp_tracker.uid = Snapshot_unit.id egr;
-              access = dp_access_of egr;
-              n_neighbors = 1 + (n_ports * cos_levels);
-              excluded_neighbors = !egress_excl;
-            };
+            { Cp_tracker.unit_ = ing; excluded_neighbors = ingress_excl };
+            { Cp_tracker.unit_ = egr; excluded_neighbors = !egress_excl };
           ])
         ports
       (* App units join the same tracker with the exclusions their app
@@ -864,9 +866,7 @@ let create ?(cfg = Config.default) ?(shards = 1) topo =
       @ List.map
           (fun (u, excl) ->
             {
-              Cp_tracker.uid = Snapshot_unit.id u;
-              access = dp_access_of u;
-              n_neighbors = Snapshot_unit.n_neighbors u;
+              Cp_tracker.unit_ = u;
               excluded_neighbors = (if channel_state then excl else []);
             })
           (Switch.app_unit_specs t.switches.(s))
@@ -937,12 +937,16 @@ let create ?(cfg = Config.default) ?(shards = 1) topo =
      resend requests travel the observer -> CP command channel. *)
   for s = 0 to n_sw - 1 do
     if enabled s then begin
-      let unit_ids = List.map Snapshot_unit.id (Switch.units t.switches.(s)) in
+      let units =
+        List.map
+          (fun u -> (Snapshot_unit.index u, Snapshot_unit.id u))
+          (Switch.units t.switches.(s))
+      in
       let send_cmd = t.cmd_posts.(s) in
       Observer.register_device obs
         {
           Observer.device_id = s;
-          units = unit_ids;
+          units;
           initiate =
             (fun ~sid ~fire_at ->
               send_cmd (fun () ->

@@ -394,17 +394,9 @@ let mk_tracked ?(channel_state = true) ?(n_neighbors = 3) ?(excluded = []) () =
       ()
   in
   let reports = ref [] in
-  let access =
-    {
-      Cp_tracker.read_slot = (fun ~ghost_sid -> Snapshot_unit.read_slot u ~ghost_sid);
-      read_sid = (fun () -> Snapshot_unit.current_sid u);
-      read_last_seen = (fun () -> Snapshot_unit.last_seen u);
-    }
-  in
   let tracker =
     Cp_tracker.create ~channel_state
-      ~units:
-        [ { Cp_tracker.uid; access; n_neighbors; excluded_neighbors = excluded } ]
+      ~units:[ { Cp_tracker.unit_ = u; excluded_neighbors = excluded } ]
       ~report:(fun r -> reports := r :: !reports)
       ()
   in
@@ -521,14 +513,78 @@ let test_tracker_sync_window () =
       Alcotest.(check int) "window hi" 170 hi
   | None -> Alcotest.fail "no window recorded"
 
+(* A foreign id at the unit's own index, and the unit's id at an index
+   the tracker does not hold. *)
 let test_tracker_unknown_unit_rejected () =
   let u, _, tracker, _, notifs, _ = mk_tracked () in
   Snapshot_unit.process_initiation u ~now:0 ~sid:1 ~ghost_sid:1;
   let n = Queue.pop notifs in
   let stranger = Unit_id.egress ~switch:9 ~port:9 in
-  match Cp_tracker.on_notify tracker ~now:1 { n with Notification.unit_id = stranger } with
-  | () -> Alcotest.fail "notification for an unknown unit accepted"
-  | exception Invalid_argument _ -> ()
+  List.iter
+    (fun (what, n) ->
+      match Cp_tracker.on_notify tracker ~now:1 n with
+      | () -> Alcotest.failf "notification for %s accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("an unknown unit", { n with Notification.unit_id = stranger });
+      ("index -1", { n with unit_ix = -1 });
+      ("index 1", { n with unit_ix = 1 });
+    ]
+
+(* A switch builds its heavy-hitter cells (Ingress virtual ports) before
+   its chain units (Egress virtual ports), so index order interleaves
+   against Unit_id order. [poll] must report in Unit_id order whatever
+   the order of the specs (the run digest depends on it), and a
+   notification must reach the unit its index names. *)
+let test_tracker_poll_in_unit_id_order () =
+  let vport k = Unit_id.app_port_base + k in
+  let ids =
+    List.map (fun k -> Unit_id.ingress ~switch:0 ~port:(vport k)) [ 0; 1; 2 ]
+    @ List.map (fun k -> Unit_id.egress ~switch:0 ~port:(vport k)) [ 0; 1 ]
+  in
+  let notifs = Queue.create () in
+  let units =
+    List.mapi
+      (fun k id ->
+        let u =
+          Snapshot_unit.create ~id ~cfg:Snapshot_unit.variant_wraparound ~n_neighbors:2
+            ~counter:(Counter.packet_count ())
+            ~notify:(fun n -> Queue.push n notifs)
+            ()
+        in
+        Snapshot_unit.set_index u (7 + k);
+        u)
+      ids
+  in
+  let reports = ref [] in
+  let specs = List.map (fun u -> { Cp_tracker.unit_ = u; excluded_neighbors = [] }) units in
+  let tracker =
+    Cp_tracker.create ~channel_state:false ~units:(List.rev specs)
+      ~report:(fun r -> reports := r :: !reports)
+      ()
+  in
+  let emitted () =
+    let l =
+      List.rev_map (fun (r : Report.t) -> (Unit_id.to_string r.unit_id, r.unit_ix)) !reports
+    in
+    reports := [];
+    l
+  in
+  let pairs =
+    List.map (fun u -> (Unit_id.to_string (Snapshot_unit.id u), Snapshot_unit.index u))
+  in
+  let by_id =
+    List.sort (fun a b -> Unit_id.compare (Snapshot_unit.id a) (Snapshot_unit.id b)) units
+  in
+  List.iter (fun u -> Snapshot_unit.process_initiation u ~now:0 ~sid:1 ~ghost_sid:1) units;
+  Queue.clear notifs;
+  Cp_tracker.poll tracker ~now:1;
+  Alcotest.(check (list (pair string int))) "poll: Unit_id order" (pairs by_id)
+    (emitted ());
+  List.iter (fun u -> Snapshot_unit.process_initiation u ~now:2 ~sid:2 ~ghost_sid:2) units;
+  Queue.iter (Cp_tracker.on_notify tracker ~now:3) notifs;
+  Alcotest.(check (list (pair string int))) "notifications: routed by index" (pairs units)
+    (emitted ())
 
 (* ------------------------------------------------------------------ *)
 (* Observer *)
@@ -540,21 +596,23 @@ type fake_device = {
   mutable fd_resends : int list;
 }
 
-let mk_fake_device id ~units =
+(* The device's units take dense indices [first], [first + 1], ... *)
+let mk_fake_device id ~first ~units =
   let fd = { fd_id = id; fd_units = units; fd_initiations = []; fd_resends = [] } in
   let dev =
     {
       Observer.device_id = id;
-      units;
+      units = List.mapi (fun k u -> (first + k, u)) units;
       initiate = (fun ~sid ~fire_at -> fd.fd_initiations <- (sid, fire_at) :: fd.fd_initiations);
       resend = (fun ~sid -> fd.fd_resends <- sid :: fd.fd_resends);
     }
   in
   (fd, dev)
 
-let report ~uid ~sid =
+let report ~ix ~uid ~sid =
   {
     Report.unit_id = uid;
+    unit_ix = ix;
     sid;
     value = Some 1.;
     channel = 0.;
@@ -573,17 +631,17 @@ let test_observer_assembly () =
   let obs = Observer.create ~engine () in
   let u1 = Unit_id.ingress ~switch:0 ~port:0 in
   let u2 = Unit_id.egress ~switch:0 ~port:0 in
-  let fd, dev = mk_fake_device 0 ~units:[ u1; u2 ] in
+  let fd, dev = mk_fake_device 0 ~first:0 ~units:[ u1; u2 ] in
   Observer.register_device obs dev;
   let completions = ref [] in
   Observer.on_complete obs (fun s -> completions := s :: !completions);
   let sid = take_snapshot_exn obs in
   Alcotest.(check int) "first sid is 1" 1 sid;
   Alcotest.(check int) "initiation broadcast" 1 (List.length fd.fd_initiations);
-  Observer.on_report obs (report ~uid:u1 ~sid);
+  Observer.on_report obs (report ~ix:0 ~uid:u1 ~sid);
   Alcotest.(check bool) "incomplete with one report" false
     (match Observer.result obs ~sid with Some s -> s.Observer.complete | None -> true);
-  Observer.on_report obs (report ~uid:u2 ~sid);
+  Observer.on_report obs (report ~ix:1 ~uid:u2 ~sid);
   (match Observer.result obs ~sid with
   | Some s ->
       Alcotest.(check bool) "complete" true s.Observer.complete;
@@ -599,7 +657,7 @@ let test_observer_retry_and_exclusion () =
     Observer.create ~engine ~retry_timeout:(Time.ms 10) ~max_retries:3 ()
   in
   let u1 = Unit_id.ingress ~switch:0 ~port:0 in
-  let fd, dev = mk_fake_device 0 ~units:[ u1 ] in
+  let fd, dev = mk_fake_device 0 ~first:0 ~units:[ u1 ] in
   Observer.register_device obs dev;
   let sid = take_snapshot_exn obs in
   (* Never report: the observer must retry 3 times then exclude. *)
@@ -617,10 +675,10 @@ let test_observer_no_spurious_retry () =
   let engine = Engine.create () in
   let obs = Observer.create ~engine ~retry_timeout:(Time.ms 10) () in
   let u1 = Unit_id.ingress ~switch:0 ~port:0 in
-  let fd, dev = mk_fake_device 0 ~units:[ u1 ] in
+  let fd, dev = mk_fake_device 0 ~first:0 ~units:[ u1 ] in
   Observer.register_device obs dev;
   let sid = take_snapshot_exn obs in
-  Observer.on_report obs (report ~uid:u1 ~sid);
+  Observer.on_report obs (report ~ix:0 ~uid:u1 ~sid);
   Engine.run_until engine (Time.ms 100);
   Alcotest.(check int) "no resend after completion" 0 (List.length fd.fd_resends)
 
@@ -628,7 +686,7 @@ let test_observer_pacing_cap () =
   let engine = Engine.create () in
   let obs = Observer.create ~engine ~max_outstanding:2 () in
   let u1 = Unit_id.ingress ~switch:0 ~port:0 in
-  let _, dev = mk_fake_device 0 ~units:[ u1 ] in
+  let _, dev = mk_fake_device 0 ~first:0 ~units:[ u1 ] in
   Observer.register_device obs dev;
   ignore (take_snapshot_exn obs);
   ignore (take_snapshot_exn obs);
@@ -641,24 +699,28 @@ let test_observer_spurious_report_ignored () =
   let engine = Engine.create () in
   let obs = Observer.create ~engine () in
   let u1 = Unit_id.ingress ~switch:0 ~port:0 in
-  let _, dev = mk_fake_device 0 ~units:[ u1 ] in
+  let _, dev = mk_fake_device 0 ~first:0 ~units:[ u1 ] in
   Observer.register_device obs dev;
   (* A report for a snapshot never scheduled (node-attachment jump-ahead)
      must be ignored. *)
-  Observer.on_report obs (report ~uid:u1 ~sid:999);
+  Observer.on_report obs (report ~ix:0 ~uid:u1 ~sid:999);
   Alcotest.(check bool) "not recorded" true (Observer.result obs ~sid:999 = None)
 
-(* Property: whatever the order, duplication and staleness of the
-   reports, the round holds exactly the first report each unit sent for
-   its sid and completes exactly once. Devices own 1-4 units each; every
-   report carries its position in the stream as value so the first and a
-   later duplicate differ. *)
+(* Property: whatever the order, duplication, staleness and routing of
+   the reports, the round holds exactly the first report each unit sent
+   for its sid under its own index, and completes exactly once. Devices
+   own 1-4 units each; every report carries its position in the stream
+   as value so the first and a later duplicate differ. A report filed
+   under another registered unit's index, under a negative or
+   past-the-end index, or from a unit registered after the take must be
+   ignored. *)
 let test_observer_assembly_matches_reference =
   let gen =
     QCheck.(
       triple
         (list_of_size (Gen.int_range 1 3) (int_range 1 4))
-        (list_of_size (Gen.int_range 0 40) (triple small_nat (int_range 0 2) bool))
+        (list_of_size (Gen.int_range 0 40)
+           (quad small_nat (int_range 0 2) bool (int_range 0 7)))
         int)
   in
   QCheck.Test.make ~name:"assembly = first report per unit" ~count:200 gen
@@ -667,38 +729,51 @@ let test_observer_assembly_matches_reference =
       QCheck.assume (sizes <> []);
       let engine = Engine.create () in
       let obs = Observer.create ~engine () in
-      let units =
-        List.mapi
-          (fun d n ->
-            let us = List.init n (fun p -> Unit_id.ingress ~switch:d ~port:p) in
-            Observer.register_device obs (snd (mk_fake_device d ~units:us));
-            us)
-          sizes
-        |> List.concat |> Array.of_list
+      let next = ref 0 in
+      let register d n =
+        let us = List.init n (fun p -> Unit_id.ingress ~switch:d ~port:p) in
+        Observer.register_device obs (snd (mk_fake_device d ~first:!next ~units:us));
+        next := !next + n;
+        us
       in
+      (* Indices are dense in registration order: [units.(i)] holds i. *)
+      let units = List.mapi register sizes |> List.concat |> Array.of_list in
       let n = Array.length units in
       let completions = ref [] in
       Observer.on_complete obs (fun s -> completions := s :: !completions);
       (* Round 1 completes first: its sid is stale in round 2. *)
       let stale = take_snapshot_exn obs in
-      Array.iter (fun uid -> Observer.on_report obs (report ~uid ~sid:stale)) units;
+      Array.iteri (fun ix uid -> Observer.on_report obs (report ~ix ~uid ~sid:stale)) units;
       let sid = take_snapshot_exn obs in
+      (* A device registered after the take: indices n, n + 1, ... *)
+      let late =
+        Array.of_list (register (List.length sizes) (1 + abs (perm_seed mod 3)))
+      in
       let pos = ref 0 in
       let expected = ref Unit_id.Map.empty in
-      let send uid ~sid:s ~consistent =
+      let send ~ix uid ~sid:s ~consistent =
         incr pos;
-        let r = { (report ~uid ~sid:s) with value = Some (float !pos); consistent } in
+        let r = { (report ~ix ~uid ~sid:s) with value = Some (float !pos); consistent } in
         Observer.on_report obs r;
-        if s = sid && not (Unit_id.Map.mem uid !expected) then
-          expected := Unit_id.Map.add uid r !expected
+        if s = sid && ix >= 0 && ix < n && Unit_id.equal units.(ix) uid
+           && not (Unit_id.Map.mem uid !expected)
+        then expected := Unit_id.Map.add uid r !expected
       in
       List.iter
-        (fun (u, which, consistent) ->
+        (fun (u, which, consistent, route) ->
           let s = match which with 0 -> sid | 1 -> stale | _ -> sid + 7 in
-          send units.(u mod n) ~sid:s ~consistent)
+          let own = u mod n in
+          match route with
+          | 4 -> send ~ix:((own + 1) mod n) units.(own) ~sid:s ~consistent
+          | 5 -> send ~ix:(-1 - (u mod 3)) units.(own) ~sid:s ~consistent
+          | 6 -> send ~ix:(!next + (u mod 3)) units.(own) ~sid:s ~consistent
+          | 7 ->
+              let l = u mod Array.length late in
+              send ~ix:(n + l) late.(l) ~sid:s ~consistent
+          | _ -> send ~ix:own units.(own) ~sid:s ~consistent)
         stream;
       (* Then every unit reports once more, in a random order. *)
-      let order = Array.copy units in
+      let order = Array.init n Fun.id in
       let rng = Random.State.make [| perm_seed |] in
       for i = n - 1 downto 1 do
         let j = Random.State.int rng (i + 1) in
@@ -706,7 +781,7 @@ let test_observer_assembly_matches_reference =
         order.(i) <- order.(j);
         order.(j) <- x
       done;
-      Array.iter (fun uid -> send uid ~sid ~consistent:true) order;
+      Array.iter (fun ix -> send ~ix units.(ix) ~sid ~consistent:true) order;
       match (List.filter (fun s -> s.Observer.sid = sid) !completions, Observer.result obs ~sid) with
       | [ fired ], Some s ->
           fired == s && s.Observer.complete
@@ -723,13 +798,13 @@ let test_observer_silent_device_excluded () =
   let a1 = Unit_id.ingress ~switch:0 ~port:0 in
   let a2 = Unit_id.egress ~switch:0 ~port:0 in
   let b1 = Unit_id.ingress ~switch:1 ~port:0 in
-  let fa, da = mk_fake_device 0 ~units:[ a1; a2 ] in
-  let fb, db = mk_fake_device 1 ~units:[ b1 ] in
+  let fa, da = mk_fake_device 0 ~first:0 ~units:[ a1; a2 ] in
+  let fb, db = mk_fake_device 1 ~first:2 ~units:[ b1 ] in
   Observer.register_device obs da;
   Observer.register_device obs db;
   let sid = take_snapshot_exn obs in
-  Observer.on_report obs (report ~uid:a1 ~sid);
-  Observer.on_report obs (report ~uid:a2 ~sid);
+  Observer.on_report obs (report ~ix:0 ~uid:a1 ~sid);
+  Observer.on_report obs (report ~ix:1 ~uid:a2 ~sid);
   Engine.run_until engine (Time.ms 200);
   Alcotest.(check int) "reporting device never resent to" 0 (List.length fa.fd_resends);
   Alcotest.(check (list int)) "silent device resent to" [ sid; sid ] fb.fd_resends;
@@ -745,20 +820,38 @@ let test_observer_silent_device_excluded () =
            (Unit_id.Map.bindings s.Observer.reports))
   | None -> Alcotest.fail "no result after exclusion"
 
+(* Indices must be dense in registration order and name new units. *)
+let test_observer_register_rejects_bad_index () =
+  let engine = Engine.create () in
+  let obs = Observer.create ~engine () in
+  let a1 = Unit_id.ingress ~switch:0 ~port:0 in
+  let b1 = Unit_id.ingress ~switch:1 ~port:0 in
+  Observer.register_device obs (snd (mk_fake_device 0 ~first:0 ~units:[ a1 ]));
+  List.iter
+    (fun (what, first, units) ->
+      match Observer.register_device obs (snd (mk_fake_device 1 ~first ~units)) with
+      | () -> Alcotest.failf "%s accepted" what
+      | exception Invalid_argument _ -> ())
+    [
+      ("a gap in the indices", 2, [ b1 ]);
+      ("a taken index", 0, [ b1 ]);
+      ("a unit registered twice", 1, [ a1 ]);
+    ]
+
 let test_observer_late_device_not_in_round () =
   let engine = Engine.create () in
   let obs = Observer.create ~engine () in
   let a1 = Unit_id.ingress ~switch:0 ~port:0 in
   let b1 = Unit_id.ingress ~switch:1 ~port:0 in
-  let _, da = mk_fake_device 0 ~units:[ a1 ] in
-  let fb, db = mk_fake_device 1 ~units:[ b1 ] in
+  let _, da = mk_fake_device 0 ~first:0 ~units:[ a1 ] in
+  let fb, db = mk_fake_device 1 ~first:1 ~units:[ b1 ] in
   Observer.register_device obs da;
   let sid = take_snapshot_exn obs in
   Observer.register_device obs db;
   (* The late unit's report neither counts nor blocks the round. *)
-  Observer.on_report obs (report ~uid:b1 ~sid);
+  Observer.on_report obs (report ~ix:1 ~uid:b1 ~sid);
   Alcotest.(check bool) "still waiting on the old device" false (Observer.completed obs ~sid);
-  Observer.on_report obs (report ~uid:a1 ~sid);
+  Observer.on_report obs (report ~ix:0 ~uid:a1 ~sid);
   (match Observer.result obs ~sid with
   | Some s ->
       Alcotest.(check bool) "complete without the late device" true s.Observer.complete;
@@ -770,9 +863,9 @@ let test_observer_late_device_not_in_round () =
   (* The next round includes it. *)
   let sid2 = take_snapshot_exn obs in
   Alcotest.(check int) "initiated next round" 1 (List.length fb.fd_initiations);
-  Observer.on_report obs (report ~uid:a1 ~sid:sid2);
+  Observer.on_report obs (report ~ix:0 ~uid:a1 ~sid:sid2);
   Alcotest.(check bool) "next round waits for it" false (Observer.completed obs ~sid:sid2);
-  Observer.on_report obs (report ~uid:b1 ~sid:sid2);
+  Observer.on_report obs (report ~ix:1 ~uid:b1 ~sid:sid2);
   Alcotest.(check bool) "next round completes" true (Observer.completed obs ~sid:sid2)
 
 let q = QCheck_alcotest.to_alcotest
@@ -835,6 +928,8 @@ let () =
           Alcotest.test_case "sync window" `Quick test_tracker_sync_window;
           Alcotest.test_case "unknown unit rejected" `Quick
             test_tracker_unknown_unit_rejected;
+          Alcotest.test_case "poll in Unit_id order" `Quick
+            test_tracker_poll_in_unit_id_order;
         ] );
       ( "observer",
         [
@@ -849,5 +944,7 @@ let () =
             test_observer_silent_device_excluded;
           Alcotest.test_case "late device not in round" `Quick
             test_observer_late_device_not_in_round;
+          Alcotest.test_case "register rejects a bad index" `Quick
+            test_observer_register_rejects_bad_index;
         ] );
     ]

@@ -105,13 +105,82 @@ let test_sharded_equivalence () =
   let d1', _ = sharded_testbed_digest ~shards:1 ~seed:8 in
   Alcotest.(check bool) "digest sensitive to the run" false (d1 = d1')
 
+(* Heavy-hitter cells and chain replicas on the same leaves: a leaf
+   builds its HH units (Ingress virtual ports) before its chain units
+   (Egress virtual ports), so construction order interleaves against
+   Unit_id order there. *)
+let apps_digest ~seed =
+  let open Speedlight_sim in
+  let open Speedlight_net in
+  let open Speedlight_topology in
+  let open Speedlight_workload in
+  let ls = Topology.leaf_spine ~leaves:3 ~spines:2 ~hosts_per_leaf:2 () in
+  let cfg =
+    Config.default |> Config.with_seed seed
+    |> Config.with_apps
+         {
+           Speedlight_apps.Apps.hh =
+             Some { Speedlight_apps.Precision.entries = 2; recirc_passes = 1 };
+           chain =
+             Some
+               { Speedlight_apps.Netchain.replicas = ls.Topology.leaf_switches; keys = 2 };
+         }
+  in
+  let cfg = { cfg with Config.notify_proc_time = Time.us 25 } in
+  let net = Net.create ~cfg ls.Topology.topo in
+  let engine = Net.engine net in
+  let rng = Net.fresh_rng net in
+  let fids = Traffic.flow_ids () in
+  let hosts = Array.to_list ls.Topology.host_of_server in
+  Apps.Uniform.run ~engine ~rng ~send:(Common.sender net) ~fids ~hosts
+    ~rate_pps:20_000. ~pkt_size:200 ~until:(Time.ms 40);
+  for i = 0 to 3 do
+    Net.chain_write net ~at:(Time.ms (18 + (4 * i))) ~key:(i mod 2) ~value:(100 + i)
+  done;
+  Net.schedule_global net ~at:(Time.ms 12) (fun () -> Net.auto_exclude_idle net);
+  let sids =
+    Common.take_snapshots net ~start:(Time.ms 16) ~interval:(Time.ms 3) ~count:8
+      ~run_until:(Time.ms 60)
+  in
+  Common.run_digest net ~sids
+
+(* The k=4 fat tree without channel state, one switch left out of the
+   snapshot deployment, and only the last two finished rounds kept. *)
+let partial_fat_tree_digest ~seed =
+  let open Speedlight_sim in
+  let open Speedlight_net in
+  let open Speedlight_core in
+  let open Speedlight_topology in
+  let open Speedlight_workload in
+  let cfg =
+    Config.default |> Config.with_seed seed
+    |> Config.with_variant Snapshot_unit.variant_wraparound
+  in
+  let cfg =
+    { cfg with Config.observer_retain = Some 2; snapshot_disabled_switches = [ 5 ] }
+  in
+  let ft = Topology.fat_tree ~k:4 () in
+  let net = Net.create ~cfg ft.Topology.ft_topo in
+  let engine = Net.engine net in
+  let rng = Net.fresh_rng net in
+  let fids = Traffic.flow_ids () in
+  let hosts = Array.to_list ft.Topology.ft_hosts in
+  Apps.Uniform.run ~engine ~rng ~send:(Common.sender net) ~fids ~hosts
+    ~rate_pps:10_000. ~pkt_size:1500 ~until:(Time.ms 10);
+  let sids =
+    Common.take_snapshots net ~start:(Time.ms 5) ~interval:(Time.ms 2) ~count:5
+      ~run_until:(Time.ms 25)
+  in
+  Common.run_digest net ~sids
+
 (* Golden serial digests, captured before the parallel-core overhaul
    (BFS-only partitioner, monolithic heap, 3-barrier coordinator). The
    event core is the regression oracle for every optimization behind
    it: if one of these moves, serial behavior changed — a much stronger
    claim than shards merely agreeing with each other. Keys: MD5 of
    [Common.run_digest] over the full delivered/forwarded/drop/snapshot
-   report. *)
+   report. The apps and partial fat-tree pins were captured
+   before units carried a dense index from data plane to observer. *)
 let test_golden_serial_digests () =
   let check name expect digest =
     Alcotest.(check string) name expect (Digest.to_hex (Digest.string digest))
@@ -119,7 +188,10 @@ let test_golden_serial_digests () =
   let d7, _ = sharded_testbed_digest ~shards:1 ~seed:7 in
   check "testbed seed 7" "649101faacdfc3a75da0cd8954e22ce1" d7;
   let d8, _ = sharded_testbed_digest ~shards:1 ~seed:8 in
-  check "testbed seed 8" "5b60921f6237c92e7b1b6b938dcaa95e" d8
+  check "testbed seed 8" "5b60921f6237c92e7b1b6b938dcaa95e" d8;
+  check "apps seed 91" "c51e08c3bc77aca2b35b3c0aabd22d84" (apps_digest ~seed:91);
+  check "partial fat tree seed 7" "ded38d9eade494e5acd9e3e25120460e"
+    (partial_fat_tree_digest ~seed:7)
 
 (* 8-way sharding needs a topology with enough switches for eight
    non-empty parts: the k=4 fat tree (20 switches). The leaf-spine

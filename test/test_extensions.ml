@@ -358,25 +358,9 @@ let test_tracker_loss_recovery_equivalence =
             ()
         in
         let reports = ref [] in
-        let access =
-          {
-            Cp_tracker.read_slot =
-              (fun ~ghost_sid -> Snapshot_unit.read_slot u ~ghost_sid);
-            read_sid = (fun () -> Snapshot_unit.current_sid u);
-            read_last_seen = (fun () -> Snapshot_unit.last_seen u);
-          }
-        in
         let tracker =
           Cp_tracker.create ~channel_state:true
-            ~units:
-              [
-                {
-                  Cp_tracker.uid = Snapshot_unit.id u;
-                  access;
-                  n_neighbors = 3;
-                  excluded_neighbors = [];
-                };
-              ]
+            ~units:[ { Cp_tracker.unit_ = u; excluded_neighbors = [] } ]
             ~report:(fun r -> reports := r :: !reports)
             ()
         in
